@@ -26,8 +26,9 @@ DAG every validator builds is identical, and the Bullshark commit rule
 (a pure function of DAG contents) orders the identical prefix.  That is
 the cross-validation contract: ``--backend lockstep`` (this file, run
 on the discrete-event simulator — the oracle) and ``--backend net``
-(``repro/netexec/runner.py``, real asyncio sockets) must produce
-byte-identical ordering digests for the same spec + seed.
+(``repro/netexec/runner.py``: the same runner over real asyncio
+sockets) must produce byte-identical ordering digests for the same
+spec + seed.
 
 This module is pure (no wall clock, no sockets): it runs entirely on
 the simulated clock and stays outside the analyzer's wall-clock
@@ -38,27 +39,15 @@ a separate mode, not a change to the free-running semantics.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.committee import Committee, equal_stake, geometric_stake, zipfian_stake
-from repro.core.manager import (
-    HammerHeadScheduleManager,
-    ScheduleManager,
-    StaticScheduleManager,
-)
-from repro.core.schedule_change import CommitCountPolicy, RoundBasedPolicy
-from repro.core.scoring import make_scoring_rule
+from repro.committee import Committee
 from repro.errors import ReproError
 from repro.faults.base import FaultInjector, tail_validators
 from repro.faults.crash import CrashFault
 from repro.node.validator import ValidatorNode
-from repro.schedule.round_robin import initial_schedule
-from repro.sim.experiment import (
-    ExperimentConfig,
-    ExperimentResult,
-    PROTOCOL_HAMMERHEAD,
-)
-from repro.sim.runner import SimulationRunner
+from repro.sim.experiment import ExperimentConfig, ExperimentResult
+from repro.sim.runner import SimulationRunner, build_committee
 from repro.types import Round, ValidatorId, VertexId
 from repro.workload.transactions import Transaction
 
@@ -105,18 +94,6 @@ class LockstepPlan:
         return (round_number * 7 + source * 3) % 5
 
 
-def build_committee(config: ExperimentConfig) -> Committee:
-    """The committee for ``config`` (same construction as the sim runner)."""
-    size = config.committee_size
-    if config.stake == "equal":
-        stake = equal_stake(size)
-    elif config.stake == "geometric":
-        stake = geometric_stake(size)
-    else:
-        stake = zipfian_stake(size)
-    return Committee.build(size, stake=stake, seed=config.seed)
-
-
 def _crash_round_of_time(at_time: float) -> Round:
     """Map a sim crash time to a lockstep crash round.
 
@@ -142,7 +119,7 @@ def plan_for_config(
     """
     config = config.validate()
     if committee is None:
-        committee = build_committee(config)
+        committee = build_committee(config.committee_size, config.stake, config.seed)
 
     crashes: Dict[ValidatorId, Round] = {}
     if config.faults > 0:
@@ -183,37 +160,6 @@ def plan_for_config(
         max_round=max_round,
         crash_rounds=tuple(sorted(crashes.items())),
     )
-
-
-def make_schedule_manager_factory(
-    config: ExperimentConfig,
-    committee: Committee,
-    scoring_rule: str,
-) -> Callable[[], ScheduleManager]:
-    """Per-validator schedule managers (same wiring as the sim runner).
-
-    Shared by the lockstep-on-sim oracle and the socket backend so the
-    two can never drift apart on reputation/scheduling construction.
-    """
-
-    def factory() -> ScheduleManager:
-        schedule = initial_schedule(committee, seed=config.seed)
-        if config.protocol != PROTOCOL_HAMMERHEAD:
-            return StaticScheduleManager(committee, schedule)
-        if config.schedule_change_policy == "commits":
-            policy = CommitCountPolicy(config.commits_per_schedule)
-        else:
-            policy = RoundBasedPolicy(config.rounds_per_schedule)
-        scoring = make_scoring_rule(scoring_rule)
-        return HammerHeadScheduleManager(
-            committee,
-            schedule,
-            policy=policy,
-            scoring=scoring,
-            exclude_fraction=config.exclude_fraction,
-        )
-
-    return factory
 
 
 class LockstepNode(ValidatorNode):
@@ -336,7 +282,11 @@ class LockstepNode(ValidatorNode):
 
 
 class LockstepSimulationRunner(SimulationRunner):
-    """The lockstep oracle: lockstep nodes on the discrete-event simulator."""
+    """The lockstep oracle: lockstep nodes on the discrete-event simulator.
+
+    The net backend subclasses it and swaps only the network and the run
+    loop, so both backends deploy from the same code.
+    """
 
     def __init__(self, config: ExperimentConfig) -> None:
         self.plan = plan_for_config(config)
@@ -346,11 +296,6 @@ class LockstepSimulationRunner(SimulationRunner):
         base = super()._build_node_config()
         base.max_round = self.plan.max_round
         return base.validate()
-
-    def _schedule_manager_factory(self):
-        return make_schedule_manager_factory(
-            self.config, self.committee, self.node_config.scoring_rule
-        )
 
     def _build_nodes(self) -> None:
         factory = self._schedule_manager_factory()

@@ -5,8 +5,8 @@ domain sockets by default, local TCP optionally) and one outbound
 connection per ordered validator pair.  The transport implements the
 exact surface :class:`~repro.node.validator.ValidatorNode` consumes
 from :class:`~repro.network.transport.Network` — ``register``/``send``/
-``broadcast``/``multicast``/``set_crashed``/``is_crashed``/``stats``/
-``node_ids``/``region_of``/``install_observability`` plus the
+``broadcast``/``scatter``/``multicast``/``set_crashed``/``is_crashed``/
+``stats``/``node_ids``/``region_of``/``install_observability`` plus the
 ``.simulator`` timing facade — so the full validator stack runs over
 sockets unmodified.
 
@@ -373,6 +373,12 @@ class AsyncioTransport:
             if recipient == sender and not include_self:
                 continue
             self._send_encoded(sender, recipient, frame)
+
+    def scatter(self, sender: ValidatorId, envelopes) -> None:
+        """Per-recipient envelopes, accounted like one broadcast (see ``Network.scatter``)."""
+        self.stats.broadcasts += 1
+        for recipient, message in envelopes:
+            self._send_encoded(sender, recipient, encode_frame(message))
 
     def multicast(self, sender: ValidatorId, recipients, message: Any) -> None:
         frame = encode_frame(message)

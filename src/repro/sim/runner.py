@@ -9,6 +9,7 @@ into a :class:`~repro.metrics.report.PerformanceReport`.
 
 from __future__ import annotations
 
+import contextlib
 import gc
 from typing import Any, Callable, Dict, List
 
@@ -48,18 +49,25 @@ from repro.workload.generator import LoadGenerator, spawn_load
 from repro.workload.phases import LoadPhase, spawn_phased_load
 
 
+def build_committee(size: int, stake: str, seed: int) -> Committee:
+    """The committee of ``size`` validators under the ``stake`` profile."""
+    if stake == "equal":
+        distribution = equal_stake(size)
+    elif stake == "geometric":
+        distribution = geometric_stake(size)
+    else:
+        distribution = zipfian_stake(size)
+    return Committee.build(size, stake=distribution, seed=seed)
+
+
 class SimulationRunner:
     """Builds and runs one experiment."""
 
     def __init__(self, config: ExperimentConfig) -> None:
         self.config = config.validate()
-        self.committee = self._build_committee()
-        self.simulator = Simulator(seed=config.seed)
-        self.network = Network(
-            simulator=self.simulator,
-            latency_model=self._build_latency_model(),
-            synchrony=self._build_synchrony_model(),
-        )
+        self.committee = build_committee(config.committee_size, config.stake, config.seed)
+        self.network = self._build_network()
+        self.simulator = self.network.simulator
         self.node_config = self._build_node_config()
         self.nodes: Dict[ValidatorId, ValidatorNode] = {}
         self._build_nodes()
@@ -84,15 +92,12 @@ class SimulationRunner:
 
     # -- construction ---------------------------------------------------------------
 
-    def _build_committee(self) -> Committee:
-        size = self.config.committee_size
-        if self.config.stake == "equal":
-            stake = equal_stake(size)
-        elif self.config.stake == "geometric":
-            stake = geometric_stake(size)
-        else:
-            stake = zipfian_stake(size)
-        return Committee.build(size, stake=stake, seed=self.config.seed)
+    def _build_network(self) -> Network:
+        return Network(
+            simulator=Simulator(seed=self.config.seed),
+            latency_model=self._build_latency_model(),
+            synchrony=self._build_synchrony_model(),
+        )
 
     def _build_latency_model(self):
         if self.config.latency_model == "geo":
@@ -236,10 +241,7 @@ class SimulationRunner:
             self._start_load()
             if config.partition_failover:
                 self._schedule_partition_failover()
-            if self.profiler is not None:
-                with self.profiler.phase("event_loop"):
-                    self.simulator.run(until=config.duration)
-            else:
+            with self._event_loop_phase():
                 self.simulator.run(until=config.duration)
             return self._build_result()
         finally:
@@ -256,6 +258,12 @@ class SimulationRunner:
                 # automatic collector walks them inside a later run's
                 # measured window.
                 gc.collect(1)
+
+    def _event_loop_phase(self):
+        """The profiler's ``event_loop`` phase, or a no-op when not profiling."""
+        if self.profiler is None:
+            return contextlib.nullcontext()
+        return self.profiler.phase("event_loop")
 
     def _start_nodes(self) -> None:
         # Each start-up consumes an RNG draw, so the iteration order is

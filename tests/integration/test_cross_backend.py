@@ -66,6 +66,25 @@ class TestDigestEquivalence:
         assert net.ordering_digests == oracle.ordering_digests
         assert net.crashed_validators == oracle.crashed_validators == [6]
 
+    def test_backends_share_config_counters_and_observability(self):
+        # Both backends deploy through one runner, so config fields the
+        # socket backend once dropped (piggybacking, trace sampling)
+        # take effect on it, and both results carry the same counters.
+        traced = config(certificate_piggyback=True, trace=True, trace_sample_every=4)
+        oracle = run_lockstep_experiment(traced)
+        net = run_net_experiment(traced)
+        assert net.ordering_digests == oracle.ordering_digests
+        assert set(net.counters["always"]) == set(oracle.counters["always"])
+        counters = net.counters["always"]
+        assert counters["node.certificates_piggybacked"] > 0
+        assert counters["trace.events_sampled_out"] > 0
+        assert "detailed" in net.counters
+
+    def test_net_backend_profiles_event_loop_and_node_phases(self):
+        profile = run_net_experiment(config(profile=True)).profile
+        assert {"event_loop", "rbc", "commit_path"} <= set(profile["phases"])
+        assert profile["total_seconds"] > 0.0
+
     def test_net_backend_is_repeatable(self):
         first = run_net_experiment(config(seed=3))
         second = run_net_experiment(config(seed=3))

@@ -5,6 +5,7 @@ import pytest
 from repro.committee import Committee, equal_stake, geometric_stake, zipfian_stake
 from repro.committee.committee import DEFAULT_REGIONS
 from repro.errors import CommitteeError
+from repro.sim.runner import build_committee
 
 
 class TestStakeDistributions:
@@ -149,3 +150,20 @@ class TestCommitteeStakeArithmetic:
     def test_sample_too_many_raises(self, committee4):
         with pytest.raises(CommitteeError):
             committee4.sample(5)
+
+
+class TestBuildCommittee:
+    """The one stake-profile dispatch every deployment path builds from."""
+
+    @pytest.mark.parametrize(
+        "profile, distribution",
+        [("equal", equal_stake), ("geometric", geometric_stake), ("zipf", zipfian_stake)],
+    )
+    def test_stake_profile_selects_distribution(self, profile, distribution):
+        committee = build_committee(7, profile, seed=3)
+        reference = Committee.build(7, stake=distribution(7), seed=3)
+        assert committee.validators == reference.validators
+        for validator in reference.validators:
+            assert committee.stake_of(validator) == reference.stake_of(validator)
+            assert committee.region_of(validator) == reference.region_of(validator)
+            assert committee.public_key_of(validator) == reference.public_key_of(validator)

@@ -12,7 +12,9 @@ net runner drives it), and asserts the wire-level contract:
 * a connect that cannot succeed fails *by the deadline* with an
   ``OSError`` carrying errno and the peer's address,
 * crash semantics: a crashed sender's frames are refused at the
-  source, inbound frames to a crashed endpoint count as dropped.
+  source, inbound frames to a crashed endpoint count as dropped,
+* ``scatter`` (the certificate-piggyback fan-out) is accounted exactly
+  like the simulated ``Network.scatter``.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from repro.errors import NetworkError
 from repro.netexec.clock import MonotonicScheduler
 from repro.netexec.codec import Hello, encode_frame
 from repro.netexec.transport import AsyncioTransport, PeerLink
+from repro.network.simulator import Simulator
+from repro.network.transport import Network
 from repro.rbc.messages import ReadyMessage
 
 
@@ -112,6 +116,65 @@ class TestDelivery:
         scheduler = object()
         with pytest.raises(NetworkError, match="unknown transport family"):
             AsyncioTransport(scheduler, socket_dir="/tmp", family="carrier-pigeon")
+
+
+def _envelopes(sender, size):
+    # One distinct envelope per recipient, self included (the piggyback
+    # fan-out lists every committee member once, in id order).
+    return [(recipient, _ready(sender, round_number=recipient + 1)) for recipient in range(size)]
+
+
+def _sim_scatter_stats(sender, size, crashed=False):
+    simulator = Simulator(seed=1)
+    network = Network(simulator)
+    received = {node_id: [] for node_id in range(size)}
+    for node_id in range(size):
+        network.register(
+            node_id, "r0", lambda s, m, _inbox=received[node_id]: _inbox.append((s, m))
+        )
+    if crashed:
+        network.set_crashed(sender)
+    network.scatter(sender, _envelopes(sender, size))
+    simulator.run()
+    return network.stats.as_dict(), received
+
+
+class TestScatter:
+    def test_scatter_accounting_matches_simulated_network(self):
+        async def scenario():
+            with tempfile.TemporaryDirectory() as socket_dir:
+                harness = await _Harness.start(socket_dir, size=3)
+                transport = harness.transport
+                transport.scatter(1, _envelopes(1, 3))
+                await _wait_until(lambda: transport.stats.messages_delivered >= 3)
+                await transport.shutdown()
+                return harness
+
+        harness = run(scenario())
+        sim_stats, sim_received = _sim_scatter_stats(1, 3)
+        assert harness.transport.stats.as_dict() == sim_stats
+        assert sim_stats["broadcasts"] == 1
+        assert sim_stats["messages_sent"] == 3
+        # Each recipient got its own envelope, on both networks.
+        assert harness.received == sim_received
+        for node_id in range(3):
+            assert harness.received[node_id] == [(1, _ready(1, round_number=node_id + 1))]
+
+    def test_crashed_sender_scatter_counts_every_envelope_dropped(self):
+        async def scenario():
+            with tempfile.TemporaryDirectory() as socket_dir:
+                harness = await _Harness.start(socket_dir, size=3)
+                transport = harness.transport
+                transport.set_crashed(0)
+                transport.scatter(0, _envelopes(0, 3))
+                await transport.shutdown()
+                return harness
+
+        harness = run(scenario())
+        sim_stats, _received = _sim_scatter_stats(0, 3, crashed=True)
+        assert harness.transport.stats.as_dict() == sim_stats
+        assert sim_stats["messages_dropped"] == 3
+        assert all(inbox == [] for inbox in harness.received.values())
 
 
 class TestHostilePeers:
