@@ -6,7 +6,7 @@ Measures the three things this repo's performance work optimizes:
 * **Single-run speed** — wall-clock and simulator events/sec for each
   figure-1 faultless point (committee of 10, increasing load up to the
   saturation peak).  This exercises the event loop, the broadcast layer,
-  the incremental commit scan, and the reachability cache together.
+  the incremental commit scan, and the reachability walk together.
 * **Committee scaling** — committee-25/50 stages at peak load plus a
   committee-100 stage and a smoke-scale committee-200 stage (the
   large-committee fast path: quorum bitsets, digest interning, arena

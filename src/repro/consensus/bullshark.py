@@ -327,15 +327,27 @@ class BullsharkConsensus:
     # -- ordering (``orderAnchors`` / ``orderHistory``) -----------------------------------
 
     def _order_anchor_chain(self, anchor: Vertex) -> List[CommittedSubDag]:
-        """Order ``anchor`` and every earlier anchor it reaches (Algorithm 2)."""
+        """Order ``anchor`` and every earlier anchor it reaches (Algorithm 2).
+
+        ``path(current, previous_anchor)`` is answered from one downward
+        walk per chain link: ``reach`` holds the sources reachable from
+        the newest link at round ``level`` and is advanced lazily to each
+        probed round, so a long stretch of skipped anchors costs one walk,
+        not one walk per probe.
+        """
         stack: List[Vertex] = [anchor]
-        current = anchor
+        reach = anchor.edge_mask
+        level = anchor.round - 1
         round_number = anchor.round - 2
         while round_number > self.last_ordered_anchor_round and round_number >= 2:
             previous_anchor = self._get_anchor(round_number)
-            if previous_anchor is not None and self.dag.path(current.id, previous_anchor.id):
-                stack.append(previous_anchor)
-                current = previous_anchor
+            if previous_anchor is not None and reach:
+                reach = self.dag.reach_mask(reach, level, round_number)
+                level = round_number
+                if reach >> previous_anchor.source & 1:
+                    stack.append(previous_anchor)
+                    reach = previous_anchor.edge_mask
+                    level = round_number - 1
             round_number -= 2
         return self._order_history(stack, directly_committed=anchor)
 

@@ -8,31 +8,33 @@ The store enforces two invariants the correctness proofs rely on:
 * **Non-equivocation**: at most one vertex per (round, source) pair is
   ever accepted; conflicting vertices raise :class:`EquivocationError`.
 
-Reachability cache
-------------------
+Reachability walk
+-----------------
 
-``path()`` queries are issued by the commit rule while walking anchor
-chains, and a naive BFS repeats the same downward walk for every probe.
-The store therefore memoizes, per vertex and per target round, the set of
-*sources* whose round-``r`` vertex is reachable (``reachable_sources``).
-Identity of a vertex is its ``(round, source)`` pair, so membership of the
-ancestor's source in that set is exactly path reachability.
+``path``, ``reachable_sources`` and ``causal_history`` are all answered by
+one downward level walk over the per-round slabs.  A vertex's identity is
+its ``(round, source)`` pair and all of its edges point to the previous
+round, so the set of vertices reached at round ``r`` is a source bitmask:
+the walk starts from the root's ``edge_mask`` and, at each round, takes
+the stored vertex at every set bit and ORs its ``edge_mask`` into the
+next round's mask.  The rules match the reference breadth-first search
+the differential tests compare against (``tests/dag_oracle.py``):
 
-The cache stays correct under the store's mutation pattern:
+* An edge *names* its target: a round-``r`` source bit counts as reached
+  whether or not that vertex is still stored (it may have been pruned),
+  so ``path`` to a pruned ancestor holds when an edge names it.
+* An absent vertex (never received, pruned, or below the GC horizon)
+  *blocks* the walk: it contributes no edges, and a round with no slab
+  ends the walk outright.
+* A straggler stored below the GC horizon (state-sync replay) sits in its
+  round's slab like any other vertex, so walks that reach it continue
+  through it; nothing is memoized, so there is nothing to invalidate.
+* With an ``exclude`` set (the commit rule's already-ordered vertices),
+  excluded vertices block the walk exactly like absent ones.
 
-* The DAG grows at the frontier: a vertex is only inserted once every
-  parent at or above the GC horizon is present, so a new insertion can
-  never add paths *between* previously inserted vertices — cached entries
-  stay valid.  The single exception is a straggler delivered *below* the
-  horizon (its parents count as present), which can reconnect previously
-  blocked walks; such an insertion invalidates, per subtree, only the
-  entries of vertices that can reach the straggler, and only their target
-  rounds at or below it (rare: it only happens after state sync), keeping
-  warm entries elsewhere alive.
-* ``garbage_collect`` drops cache lines keyed by pruned vertices and all
-  cached target rounds below the new horizon.  Entries for surviving
-  vertices with targets at or above the horizon only ever traversed
-  rounds above the pruned region, so they remain valid.
+Levels are visited in descending round order and bits in ascending
+source order, so the collected history comes out in (round, source)
+order without a sort, and no per-query state outlives the call.
 """
 
 from __future__ import annotations
@@ -70,20 +72,11 @@ class DagStore:
     # Recycled round slabs kept after GC (see ``garbage_collect``).
     _SLAB_POOL_LIMIT = 64
 
-    def __init__(
-        self,
-        committee: Committee,
-        require_edge_quorum: bool = True,
-        cache_reachability: bool = True,
-    ) -> None:
+    def __init__(self, committee: Committee, require_edge_quorum: bool = True) -> None:
         self.committee = committee
         # Flat per-validator stake lookup for the insertion hot path.
         self._stakes = committee.stake_vector.stakes
         self.require_edge_quorum = require_edge_quorum
-        # ``False`` disables the reachability cache; every ``path()`` query
-        # then runs the reference BFS (used as the differential oracle by
-        # the property tests, and as an escape hatch).
-        self.cache_reachability = cache_reachability
         # Arena-style per-round storage: ``_round_slots[r][source]`` is the
         # round-``r`` vertex from ``source`` (``None`` when absent) in a
         # flat slab indexed by validator id, and ``_round_order[r]`` keeps
@@ -99,6 +92,9 @@ class DagStore:
         # Total stake present per round, maintained on insert/GC so the
         # per-insertion quorum checks are O(1) instead of summing stakes.
         self._round_stake: Dict[Round, int] = {}
+        # Bitmask of the sources stored per round, maintained on insert/GC
+        # so ``missing_parents`` is one AND-NOT against the parent round.
+        self._present: Dict[Round, int] = {}
         self._by_id: Dict[VertexId, Vertex] = {}
         # Vertices waiting for missing parents, keyed by the missing parent.
         self._pending: Dict[VertexId, Vertex] = {}
@@ -108,8 +104,6 @@ class DagStore:
         self._lowest_round = 0
         # Cached ``max(self._round_slots)``; queried on every round advance.
         self._highest_round = 0
-        # vertex id -> {target round -> sources reachable at that round}.
-        self._reach_cache: Dict[VertexId, Dict[Round, FrozenSet[ValidatorId]]] = {}
         # Anchor rounds whose commit-rule status may have changed since the
         # consensus engine last drained this set: an insertion at an even
         # round r is a (potential) anchor for r, an insertion at an odd
@@ -193,18 +187,18 @@ class DagStore:
         """Parents of ``vertex`` not yet part of the DAG.
 
         Parents below the garbage-collection horizon are treated as
-        present: their sub-DAG has already been ordered and pruned.
+        present: their sub-DAG has already been ordered and pruned.  All
+        edges point to the previous round, so the test is one AND-NOT of
+        the edge mask against that round's present-source mask; the set
+        is built only when something is missing.
         """
-        by_id = self._by_id
-        lowest = self._lowest_round
-        missing: Optional[Set[VertexId]] = None
-        for parent in vertex.edges:
-            if parent not in by_id and parent.round >= lowest:
-                if missing is None:
-                    missing = {parent}
-                else:
-                    missing.add(parent)
-        return missing if missing is not None else self._NO_MISSING
+        parent_round = vertex.round - 1
+        if parent_round < self._lowest_round:
+            return self._NO_MISSING
+        absent = vertex.edge_mask & ~self._present.get(parent_round, 0)
+        if not absent:
+            return self._NO_MISSING
+        return {parent for parent in vertex.edges if absent >> parent.source & 1}
 
     def _park(self, vertex: Vertex, missing: Set[VertexId]) -> None:
         self._pending[vertex.id] = vertex
@@ -224,13 +218,6 @@ class DagStore:
 
     def _insert(self, vertex: Vertex) -> None:
         if vertex.round < self._lowest_round:
-            # A straggler below the GC horizon can reconnect walks that
-            # previously stopped at its (absent) id.  Only cache entries of
-            # vertices that can actually reach the straggler — and only
-            # their targets at or below its round — can change, so those
-            # are invalidated surgically instead of clearing the whole
-            # cache; warm entries elsewhere survive state sync.
-            self._invalidate_straggler_reachers(vertex)
             self._stale_below_horizon = True
         round_number = vertex.round
         source = vertex.source
@@ -248,6 +235,7 @@ class DagStore:
         self._round_stake[round_number] = (
             self._round_stake.get(round_number, 0) + self._stakes[source]
         )
+        self._present[round_number] = self._present.get(round_number, 0) | 1 << source
         if round_number > self._highest_round:
             self._highest_round = round_number
         anchor_round = round_number if round_number % 2 == 0 else round_number - 1
@@ -262,37 +250,6 @@ class DagStore:
             )
         for callback in self._on_insert:
             callback(vertex)
-
-    def _invalidate_straggler_reachers(self, vertex: Vertex) -> None:
-        """Invalidate cache entries a below-horizon straggler can affect.
-
-        New paths opened by the straggler all pass *through* it, so the
-        only stale entries are those of vertices from which the
-        straggler's id is reachable, and only for target rounds at or
-        below the straggler's round (sets for higher targets never
-        depended on its presence: an edge naming a round-``t`` vertex
-        counts for target ``t`` whether or not that vertex is stored).
-        The reacher set is found by one upward sweep over the stored
-        rounds above the straggler; this runs only on the rare state-sync
-        path, never on frontier insertions.
-        """
-        cache = self._reach_cache
-        if not cache:
-            return
-        reacher_ids: Set[VertexId] = {vertex.id}
-        for round_number in sorted(r for r in self._round_slots if r > vertex.round):
-            for candidate in self._round_order[round_number]:
-                if any(edge in reacher_ids for edge in candidate.edges):
-                    reacher_ids.add(candidate.id)
-        reacher_ids.discard(vertex.id)
-        for reacher_id in reacher_ids:
-            entry = cache.get(reacher_id)
-            if not entry:
-                continue
-            for target_round in [t for t in entry if t <= vertex.round]:
-                del entry[target_round]
-            if not entry:
-                del cache[reacher_id]
 
     def _promote_pending(self, arrived: VertexId) -> None:
         """Promote pending vertices whose last missing parent just arrived."""
@@ -422,106 +379,31 @@ class DagStore:
         start = self._by_id.get(descendant)
         if start is None or ancestor.round >= start.round:
             return False
-        if self.cache_reachability:
-            return ancestor.source in self._reachable_sources(start, ancestor.round)
-        return self._path_bfs(descendant, start, ancestor)
-
-    def _path_bfs(self, descendant: VertexId, start: Vertex, target: VertexId) -> bool:
-        """Reference breadth-first search (the seed implementation)."""
-        frontier: Set[VertexId] = {descendant}
-        current_round = start.round
-        while frontier and current_round > target.round:
-            next_frontier: Set[VertexId] = set()
-            for vertex_id in frontier:
-                vertex = self._by_id.get(vertex_id)
-                if vertex is None:
-                    continue
-                for parent in vertex.edges:
-                    if parent == target:
-                        return True
-                    if parent.round > target.round:
-                        next_frontier.add(parent)
-            frontier = next_frontier
-            current_round -= 1
-        return False
+        reached = self._walk(start.edge_mask, start.round - 1, ancestor.round)
+        return bool(reached >> ancestor.source & 1)
 
     def reachable_sources(self, vertex_id: VertexId, target_round: Round) -> FrozenSet[ValidatorId]:
         """Sources whose ``target_round`` vertex is reachable from ``vertex_id``.
 
         A source ``s`` is included exactly when :meth:`path` from
-        ``vertex_id`` to ``VertexId(target_round, s)`` holds.  Results are
-        memoized per (vertex, target round); see the module docstring for
-        the invalidation argument.
+        ``vertex_id`` to ``VertexId(target_round, s)`` holds.
         """
         vertex = self._by_id.get(vertex_id)
         if vertex is None or vertex.round <= target_round:
             return frozenset()
-        if not self.cache_reachability:
-            # Escape hatch / oracle mode: answer from the reference BFS
-            # without building memoized state.
-            return frozenset(
-                source
-                for source in self.committee.validators
-                if self._path_bfs(vertex_id, vertex, VertexId(target_round, source))
-            )
-        return self._reachable_sources(vertex, target_round)
+        reached = self._walk(vertex.edge_mask, vertex.round - 1, target_round)
+        return frozenset(source for source in range(reached.bit_length()) if reached >> source & 1)
 
-    def _reachable_sources(self, root: Vertex, target_round: Round) -> FrozenSet[ValidatorId]:
-        cache = self._reach_cache
-        entry = cache.get(root.id)
-        if entry is not None:
-            cached = entry.get(target_round)
-            if cached is not None:
-                return cached
-        by_id = self._by_id
-        # Phase 1: collect the not-yet-memoized region reachable from the
-        # root, grouped by round.  The walk stops early at vertices whose
-        # set is already cached and at round ``target_round + 1``.
-        region: Dict[Round, List[Vertex]] = {}
-        seen: Set[VertexId] = {root.id}
-        queue = deque([root])
-        while queue:
-            vertex = queue.popleft()
-            entry = cache.get(vertex.id)
-            if entry is not None and target_round in entry:
-                continue
-            region.setdefault(vertex.round, []).append(vertex)
-            if vertex.round == target_round + 1:
-                continue
-            # det: ordered -- BFS order only decides memo fill order; the
-            # per-vertex results are sets, and phase 2 re-sorts by round.
-            for edge in vertex.edges:
-                if edge in seen:
-                    continue
-                seen.add(edge)
-                parent = by_id.get(edge)
-                # Absent parents (pruned or never received) block the walk,
-                # exactly like the reference BFS skips unknown ids.
-                if parent is not None:
-                    queue.append(parent)
-        # Phase 2: rounds strictly decrease along edges, so computing in
-        # ascending round order guarantees every parent's set is ready
-        # (either memoized earlier or produced by a lower level).
-        for round_number in sorted(region):
-            for vertex in region[round_number]:
-                entry = cache.setdefault(vertex.id, {})
-                if target_round in entry:
-                    continue
-                if vertex.round == target_round + 1:
-                    # Base case: edges point straight at the target round;
-                    # an edge names the target vertex whether or not that
-                    # vertex is still stored.
-                    entry[target_round] = frozenset(edge.source for edge in vertex.edges)
-                    continue
-                reachable: Set[ValidatorId] = set()
-                for edge in vertex.edges:
-                    parent_entry = cache.get(edge)
-                    if parent_entry is not None:
-                        parent_set = parent_entry.get(target_round)
-                        if parent_set:
-                            reachable |= parent_set
-                entry[target_round] = frozenset(reachable)
-        return cache[root.id][target_round]
+    def reach_mask(self, sources: int, round_number: Round, target_round: Round) -> int:
+        """Source mask at ``target_round`` reachable from round ``round_number``.
+
+        ``sources`` is a bitmask of round-``round_number`` sources (such as
+        a vertex's ``edge_mask`` with ``round_number`` one below it).  The
+        result can be fed back in to continue the same walk further down,
+        which lets the commit rule probe a chain of anchor rounds with one
+        walk per chain link instead of one :meth:`path` per probe.
+        """
+        return self._walk(sources, round_number, target_round)
 
     def causal_history(
         self,
@@ -533,81 +415,62 @@ class DagStore:
 
         The result is returned in a deterministic order (ascending round,
         then source) so that every validator linearizes a committed
-        sub-DAG identically (Algorithm 2, line 35).
-
-        Exclusion-free queries (the deep fetch responder's whole-history
-        requests) are answered from the round-indexed reachability cache
-        instead of a raw stack walk: the history at each stored round is
-        exactly the cached ``reachable_sources`` set, so repeated fetches
-        for nearby roots share memoized per-round sets with the commit
-        rule.  Queries with an ``exclude`` set keep the walk, because
-        pruning *during* traversal differs from filtering afterwards
-        whenever the excluded set is not causally closed downwards.
+        sub-DAG identically (Algorithm 2, line 35).  Excluded vertices
+        block the walk (pruning during traversal, not filtering after
+        it), which differs whenever ``exclude`` is not causally closed
+        downwards.
         """
-        excluded = exclude if exclude is not None else set()
-        by_id = self._by_id
-        root_vertex = by_id.get(root)
+        root_vertex = self._by_id.get(root)
         if root_vertex is None:
             raise DagError(f"vertex {root} is not in the DAG")
-        if self.cache_reachability and not excluded:
-            return self._causal_history_cached(root_vertex, include_root)
-        if root in excluded:
+        if exclude and root in exclude:
             # The walk stops immediately at an excluded root.
             return []
-        # Level-wise walk using C-speed set operations: the commit rule
-        # calls this once per committed anchor with the already-ordered
-        # set excluded, and the per-edge Python loop of the previous
-        # stack walk was measurable at committee 25+.  Edges always point
-        # to the previous round, so the frontier can be advanced as a
-        # set-union of edge sets minus everything seen or excluded.
-        collected: List[Vertex] = []
+        levels: List[List[Vertex]] = []
+        self._walk(root_vertex.edge_mask, root_vertex.round - 1, -1, exclude or None, levels)
+        collected = [vertex for level in reversed(levels) for vertex in level]
         if include_root:
             collected.append(root_vertex)
-        seen: Set[VertexId] = {root}
-        frontier: Set[VertexId] = set()
-        frontier.update(root_vertex.edges)
-        frontier.difference_update(excluded)
-        while frontier:
-            seen.update(frontier)
-            next_edges: List[FrozenSet[VertexId]] = []
-            # det: ordered -- append order is erased by the final sort;
-            # next_edges feed an order-insensitive set union.
-            for vertex_id in frontier:
-                vertex = by_id.get(vertex_id)
-                if vertex is None:
-                    # Below the GC horizon: already ordered and pruned.
-                    continue
-                collected.append(vertex)
-                next_edges.append(vertex.edges)
-            if not next_edges:
-                break
-            frontier = set().union(*next_edges)
-            frontier.difference_update(seen)
-            frontier.difference_update(excluded)
-        collected.sort(key=lambda vertex: (vertex.round, vertex.source))
         return collected
 
-    def _causal_history_cached(self, root_vertex: Vertex, include_root: bool) -> List[Vertex]:
-        """Cache-backed :meth:`causal_history` for exclusion-free queries.
+    def _walk(
+        self,
+        sources: int,
+        round_number: Round,
+        floor: Round,
+        exclude: Optional[Set[VertexId]] = None,
+        levels: Optional[List[List[Vertex]]] = None,
+    ) -> int:
+        """The downward level walk behind every reachability query.
 
-        Ascending rounds with sorted sources reproduce the walk's
-        deterministic (round, source) order without a final sort.
+        ``sources`` is the mask reached at ``round_number``.  Each level
+        above ``floor`` takes the stored, non-excluded vertex at every set
+        bit (absent and excluded ones block) and ORs its ``edge_mask``
+        into the mask of the round below.  Returns the mask reached at
+        ``floor``, or 0 once the walk dies out.  With ``levels``, each
+        visited level's vertices are appended in ascending source order,
+        top level first.
         """
-        collected: List[Vertex] = []
         rounds = self._round_slots
-        # Iterate the rounds actually stored (not the horizon range): a
-        # state-sync straggler may sit below the GC horizon yet still be
-        # stored and reachable.
-        for round_number in sorted(r for r in rounds if r < root_vertex.round):
-            slots = rounds[round_number]
-            slot_count = len(slots)
-            for source in sorted(self._reachable_sources(root_vertex, round_number)):
-                vertex = slots[source] if 0 <= source < slot_count else None
-                if vertex is not None:
-                    collected.append(vertex)
-        if include_root:
-            collected.append(root_vertex)
-        return collected
+        while sources and round_number > floor:
+            slots = rounds.get(round_number)
+            if slots is None:
+                return 0
+            below = 0
+            level: List[Vertex] = []
+            while sources:
+                lowest = sources & -sources
+                sources ^= lowest
+                vertex = slots[lowest.bit_length() - 1]
+                if vertex is None or (exclude is not None and vertex.id in exclude):
+                    continue
+                below |= vertex.edge_mask
+                level.append(vertex)
+            if levels is not None:
+                levels.append(level)
+            sources = below
+            round_number -= 1
+        return sources
 
     # -- garbage collection ----------------------------------------------------------------
 
@@ -672,7 +535,6 @@ class DagStore:
         for round_number in [r for r in self._round_slots if r < before_round]:
             for vertex in self._round_order.pop(round_number):
                 del self._by_id[vertex.id]
-                self._reach_cache.pop(vertex.id, None)
                 removed += 1
             slots = self._round_slots.pop(round_number)
             # Recycle the slab: wipe in place and park it for the next
@@ -683,17 +545,13 @@ class DagStore:
                     slots[index] = None
                 self._slab_pool.append(slots)
             self._round_stake.pop(round_number, None)
+            self._present.pop(round_number, None)
         if not self._round_slots:
             # GC swallowed every round (the horizon overtook the frontier);
             # match ``max(rounds) or 0`` semantics.
             self._highest_round = 0
         self._lowest_round = max(self._lowest_round, before_round)
         self._stale_below_horizon = False
-        # Cached sets for targets below the horizon may now reference
-        # pruned rounds; entries at or above it never traversed them.
-        for entry in self._reach_cache.values():
-            for target_round in [r for r in entry if r < before_round]:
-                del entry[target_round]
         self._prune_pending(before_round)
         self.reconsider_pending()
         self.gc_reclaimed_total += removed

@@ -6,8 +6,8 @@ optimized tree must order exactly what the seed implementation ordered.
 The property suite pins that on small random committees; this smoke
 suite pins it at the scale the sprint actually targets: a deterministic
 committee-100 DAG driven through both the arena-backed incremental
-engine and the dict-rescan oracle (``incremental=False`` +
-``cache_reachability=False``), plus a full-pipeline determinism check
+engine and the dict-rescan oracle (``incremental=False`` over the
+seed-BFS ``OracleDagStore``), plus a full-pipeline determinism check
 through ``run_experiment``.
 
 CI runs this file as its own ``committee-100-smoke`` step in the bench
@@ -25,6 +25,7 @@ from repro.dag.store import DagStore
 from repro.dag.vertex import genesis_vertices, make_vertex
 from repro.schedule.round_robin import initial_schedule
 from repro.sim.experiment import ExperimentConfig, run_experiment
+from tests.dag_oracle import OracleDagStore
 
 COMMITTEE_SIZE = 100
 ROUNDS = 10
@@ -56,7 +57,7 @@ def build_committee100_dag(seed: int = 7):
 
 
 def make_engine(committee, incremental):
-    dag = DagStore(committee, cache_reachability=incremental)
+    dag = DagStore(committee) if incremental else OracleDagStore(committee)
     schedule = initial_schedule(committee, seed=0, permute=False)
     manager = HammerHeadScheduleManager(
         committee, schedule, policy=CommitCountPolicy(5)

@@ -1,8 +1,8 @@
 """Differential properties: incremental commit scan vs the seed rescan.
 
 The incremental commit path (dirty anchor-round tracking, see
-``BullsharkConsensus._find_committable_incremental``) and the round-indexed
-reachability cache (``DagStore.reachable_sources``) are pure optimizations:
+``BullsharkConsensus._find_committable_incremental``) and the bitmask
+reachability walk (``DagStore._walk``) are pure optimizations:
 for any insertion sequence, any fault pattern, any GC horizon movement, and
 any schedule-manager dynamics they must order exactly the vertices the
 original implementation ordered, in the same order.  These tests run both
@@ -22,6 +22,8 @@ from repro.core.schedule_change import CommitCountPolicy
 from repro.dag.store import DagStore
 from repro.dag.vertex import genesis_vertices, make_vertex
 from repro.schedule.round_robin import initial_schedule
+from repro.types import VertexId
+from tests.dag_oracle import OracleDagStore
 
 
 @st.composite
@@ -87,7 +89,7 @@ def build_vertices(committee, participation, rng):
 
 
 def make_engine(committee, dynamic, commits_per_schedule, incremental):
-    dag = DagStore(committee, cache_reachability=incremental)
+    dag = DagStore(committee) if incremental else OracleDagStore(committee)
     schedule = initial_schedule(committee, seed=0, permute=False)
     if dynamic:
         manager = HammerHeadScheduleManager(
@@ -162,21 +164,21 @@ def test_incremental_path_orders_identically(scenario):
 
 @given(equivalence_scenario())
 @settings(max_examples=25, deadline=None)
-def test_reachability_cache_matches_bfs(scenario):
-    """Cached ``path()`` answers equal the reference BFS on random DAGs."""
+def test_reachability_walk_matches_bfs(scenario):
+    """Walk-backed ``path()`` answers equal the reference BFS on random DAGs."""
     committee, participation, rng, _, _, _, keep_rounds, _ = scenario
     vertices = build_vertices(committee, participation, rng)
     stream = list(vertices)
     rng.shuffle(stream)
-    cached = DagStore(committee, cache_reachability=True)
-    reference = DagStore(committee, cache_reachability=False)
+    walk = DagStore(committee)
+    reference = OracleDagStore(committee)
     inserted = []
     for position, vertex in enumerate(stream):
-        cached.add(vertex)
+        walk.add(vertex)
         reference.add(vertex)
-        if vertex.id in cached:
+        if vertex.id in walk:
             inserted.append(vertex)
-        # Interleave queries with insertions so the cache is exercised
+        # Interleave queries with insertions so the walk is exercised
         # against a growing DAG, not just the final one.
         if inserted and position % 3 == 0:
             for _ in range(4):
@@ -184,26 +186,100 @@ def test_reachability_cache_matches_bfs(scenario):
                 ancestor = rng.choice(inserted)
                 if ancestor.round > descendant.round:
                     descendant, ancestor = ancestor, descendant
-                assert cached.path(descendant.id, ancestor.id) == reference.path(
+                assert walk.path(descendant.id, ancestor.id) == reference.path(
                     descendant.id, ancestor.id
                 ), f"path({descendant.id}, {ancestor.id}) diverged"
-        if position % 7 == 0 and cached.highest_round() > keep_rounds:
-            horizon = cached.highest_round() - keep_rounds
-            cached.garbage_collect(horizon)
+        if position % 7 == 0 and walk.highest_round() > keep_rounds:
+            horizon = walk.highest_round() - keep_rounds
+            walk.garbage_collect(horizon)
             reference.garbage_collect(horizon)
-            inserted = [v for v in inserted if v.id in cached]
+            inserted = [v for v in inserted if v.id in walk]
     # Exhaustive sweep at the end.
     for descendant in inserted:
         for ancestor in inserted:
             if ancestor.round >= descendant.round:
                 continue
-            assert cached.path(descendant.id, ancestor.id) == reference.path(
+            assert walk.path(descendant.id, ancestor.id) == reference.path(
                 descendant.id, ancestor.id
             )
-    # The public reachable_sources() entry point must agree between the
-    # memoized and BFS-backed (cache_reachability=False) implementations.
+    # The public reachable_sources() entry point must agree with the BFS.
     for descendant in inserted[:8]:
         for target_round in range(max(0, descendant.round - 4), descendant.round):
-            assert cached.reachable_sources(
+            assert walk.reachable_sources(
                 descendant.id, target_round
             ) == reference.reachable_sources(descendant.id, target_round)
+
+
+def ids(history):
+    return [vertex.id for vertex in history]
+
+
+def assert_queries_agree(walk, oracle, committee, rng):
+    assert sorted(vertex.id for vertex in walk) == sorted(vertex.id for vertex in oracle)
+    stored = sorted(vertex.id for vertex in walk)
+    rounds = walk.all_rounds()
+    full_mask = (1 << len(committee.validators)) - 1
+    for root in stored:
+        for include_root in (True, False):
+            assert ids(walk.causal_history(root, include_root=include_root)) == ids(
+                oracle.causal_history(root, include_root=include_root)
+            ), f"causal_history({root}) diverged"
+        # Exclusion sets that are not causally closed downwards, sometimes
+        # containing the root itself or ids that are not stored.
+        for _ in range(2):
+            exclude = set(rng.sample(stored, rng.randint(0, len(stored) // 2)))
+            exclude.add(VertexId(root.round - 1, rng.randrange(len(committee.validators))))
+            assert ids(walk.causal_history(root, exclude=exclude)) == ids(
+                oracle.causal_history(root, exclude=exclude)
+            ), f"causal_history({root}, exclude=...) diverged"
+        for target_round in range(root.round):
+            assert walk.reachable_sources(root, target_round) == oracle.reachable_sources(
+                root, target_round
+            )
+            for source in committee.validators:
+                target = VertexId(target_round, source)
+                assert walk.path(root, target) == oracle.path(root, target), (
+                    f"path({root}, {target}) diverged"
+                )
+    for round_number in rounds:
+        for target_round in range(round_number + 1):
+            mask = rng.randint(0, full_mask)
+            assert walk.reach_mask(mask, round_number, target_round) == oracle.reach_mask(
+                mask, round_number, target_round
+            )
+
+
+@given(equivalence_scenario())
+@settings(max_examples=40, deadline=None)
+def test_walk_matches_bfs_under_gc_and_stragglers(scenario):
+    """Every reachability query (history order included) equals the BFS,
+    with GC over the stream and stragglers replayed below the horizon."""
+    committee, participation, rng, _, _, gc_probability, keep_rounds, _ = scenario
+    vertices = build_vertices(committee, participation, rng)
+    later = [vertex for vertex in vertices if vertex.round > 0]
+    stragglers = rng.sample(later, min(rng.randint(0, 3), len(later)))
+    withheld = {vertex.id for vertex in stragglers}
+    stream = [vertex for vertex in vertices if vertex.id not in withheld]
+    rng.shuffle(stream)
+    walk = DagStore(committee)
+    oracle = OracleDagStore(committee)
+    stores = (walk, oracle)
+    for vertex in stream:
+        for store in stores:
+            store.add(vertex)
+        if rng.random() < gc_probability and walk.highest_round() > keep_rounds:
+            horizon = walk.highest_round() - keep_rounds
+            for store in stores:
+                store.garbage_collect(horizon)
+    assert_queries_agree(walk, oracle, committee, rng)
+    # State-sync replay: move the horizon past the withheld vertices, then
+    # deliver them below it, where they are stored and reconnect walks.
+    if stragglers:
+        horizon = max(vertex.round for vertex in stragglers) + 1
+        for store in stores:
+            store.garbage_collect(horizon)
+        for vertex in stragglers:
+            for store in stores:
+                store.add(vertex)
+        assert all(vertex.id in walk for vertex in stragglers)
+        assert_queries_agree(walk, oracle, committee, rng)

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.consensus.bullshark import BullsharkConsensus
+from repro.core.manager import StaticScheduleManager
+from repro.dag.store import DagStore
+from repro.dag.vertex import genesis_vertices
+from repro.schedule.round_robin import initial_schedule
 from tests.conftest import build_round, drive_rounds, make_consensus, vid
+from tests.dag_oracle import OracleDagStore
 
 
 class TestDirectCommit:
@@ -161,6 +166,33 @@ class TestIndirectCommit:
         assert positions == list(range(len(positions)))
 
 
+    def test_chain_probes_from_the_newest_link(self, committee4):
+        """Round 6 reaches the round-2 anchor, but its chain link at round 4
+        does not, so round 2 is skipped rather than ordered as an anchor."""
+        consensus = make_consensus(committee4)
+        dag = consensus.dag
+        everyone = list(committee4.validators)
+        # Leaders: round 2 -> 0, round 4 -> 1, round 6 -> 2.
+        rounds = {
+            1: None,
+            2: None,
+            # Only (3, 1) votes for the round-2 anchor.
+            3: {0: [1, 2, 3], 1: everyone, 2: [1, 2, 3], 3: [1, 2, 3]},
+            # The round-4 anchor avoids that single vote.
+            4: {1: [0, 2, 3]},
+            # Only (5, 0) votes for the round-4 anchor.
+            5: {1: [0, 2, 3], 2: [0, 2, 3], 3: [0, 2, 3]},
+            6: None,
+            7: None,
+        }
+        for round_number, parents in rounds.items():
+            for vertex in build_round(dag, committee4, round_number, parent_sources=parents):
+                consensus.process_vertex(vertex)
+        assert dag.path(vid(6, 2), vid(2, 0))
+        assert not dag.path(vid(4, 1), vid(2, 0))
+        assert [subdag.anchor_round for subdag in consensus.committed_subdags] == [4, 6]
+
+
 def drive_rounds_quietly(dag, committee, rounds):
     """Grow a DAG without running consensus (helper for late-commit tests)."""
     for round_number in range(1, rounds + 1):
@@ -220,3 +252,73 @@ class TestGarbageCollectionIntegration:
             for vertex in build_round(consensus.dag, committee4, round_number):
                 consensus.process_vertex(vertex)
         assert consensus.commit_count > before
+
+
+class TestLongSkippedStretch:
+    """An anchor chain across >= 10 consecutive skipped anchors.
+
+    Anchors of rounds 2..30 get no votes except rounds 6 and 30, which get
+    one each (below f+1, so neither commits directly).  Round 32 commits
+    directly and must reach back to 30 and then, across the eleven
+    unreachable anchors of rounds 8..28, to 6.
+    """
+
+    TOP = 32
+    SINGLE_VOTE_ROUNDS = (6, 30)
+
+    @staticmethod
+    def _engine(committee, store_class):
+        dag = store_class(committee)
+        for vertex in genesis_vertices(committee):
+            dag.add(vertex)
+        manager = StaticScheduleManager(committee, initial_schedule(committee, seed=0, permute=False))
+        return BullsharkConsensus(
+            owner=0, committee=committee, dag=dag, schedule_manager=manager, record_sequence=True
+        )
+
+    def _drive(self, consensus, committee):
+        leader = consensus.schedule_manager.leader_for_round
+        for round_number in range(1, self.TOP + 2):
+            parent_round = round_number - 1
+            parents = None
+            if parent_round % 2 == 0 and 2 <= parent_round < self.TOP:
+                avoided = leader(parent_round)
+                voters = 1 if parent_round in self.SINGLE_VOTE_ROUNDS else 0
+                others = [source for source in committee.validators if source != avoided]
+                parents = {
+                    source: list(committee.validators) if source < voters else others
+                    for source in committee.validators
+                }
+            for vertex in build_round(
+                consensus.dag, committee, round_number, parent_sources=parents
+            ):
+                consensus.process_vertex(vertex)
+
+    @staticmethod
+    def _path_probe_chain(dag, leader, top_anchor):
+        """The seed chain walk: one ``path()`` per probed anchor round."""
+        chain = [top_anchor]
+        for round_number in range(top_anchor.round - 2, 1, -2):
+            previous = dag.vertex_of(round_number, leader(round_number))
+            if previous is not None and dag.path(chain[-1].id, previous.id):
+                chain.append(previous)
+        return [anchor.round for anchor in chain]
+
+    def test_chain_equals_the_path_probe_oracle(self, committee4):
+        walk = self._engine(committee4, DagStore)
+        oracle = self._engine(committee4, OracleDagStore)
+        skipped = []
+        walk.schedule_manager.on_anchor_skipped = skipped.append
+        for engine in (walk, oracle):
+            self._drive(engine, committee4)
+        committed = [subdag.anchor_round for subdag in walk.committed_subdags]
+        assert committed == [6, 30, 32]
+        assert skipped == [2, 4] + list(range(8, 30, 2))
+        assert [subdag.anchor_round for subdag in oracle.committed_subdags] == committed
+        assert walk.ordering_digest == oracle.ordering_digest
+        assert walk.ordered_ids() == oracle.ordered_ids()
+        top = walk.dag.vertex_of(self.TOP, walk.schedule_manager.leader_for_round(self.TOP))
+        expected = self._path_probe_chain(
+            oracle.dag, walk.schedule_manager.leader_for_round, top
+        )
+        assert sorted(expected) == committed

@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.committee import Committee
 from repro.dag.store import DagStore
 from repro.dag.vertex import check_edge_quorum, genesis_vertices, make_vertex
 from repro.errors import DagError, EquivocationError
 from tests.conftest import build_round, populate_dag, vid
+from tests.dag_oracle import OracleDagStore
 
 
 class TestVertexConstruction:
@@ -273,116 +275,117 @@ class TestGarbageCollection:
         assert all(vertex.round >= 3 for vertex in history)
 
 
-class TestStragglerCacheInvalidation:
-    """Below-horizon insertions invalidate per subtree, not wholesale."""
+def assert_matches_oracle(dag: DagStore, oracle: OracleDagStore, committee) -> None:
+    """Every reachability query on ``dag`` equals the seed BFS on ``oracle``."""
+    assert sorted(vertex.id for vertex in dag) == sorted(vertex.id for vertex in oracle)
+    for vertex in list(dag):
+        for include_root in (True, False):
+            assert dag.causal_history(vertex.id, include_root=include_root) == (
+                oracle.causal_history(vertex.id, include_root=include_root)
+            ), f"causal_history({vertex.id}) diverged from the oracle"
+        for target in range(vertex.round):
+            assert dag.reachable_sources(vertex.id, target) == oracle.reachable_sources(
+                vertex.id, target
+            )
+            for source in committee.validators:
+                target_id = vid(target, source)
+                assert dag.path(vertex.id, target_id) == oracle.path(vertex.id, target_id), (
+                    f"path({vertex.id}, {target_id}) diverged from the oracle"
+                )
 
-    def _grown_dag(self, committee4):
-        dag = DagStore(committee4)
-        for vertex in genesis_vertices(committee4):
-            dag.add(vertex)
-        for round_number in range(1, 7):
-            build_round(dag, committee4, round_number)
-        return dag
 
-    def test_unreachable_straggler_keeps_cache_entries_warm(self, committee4):
+class TestBelowHorizonStragglers:
+    """A straggler stored below the GC horizon reconnects walks through it."""
+
+    def _stores(self, committee4, first_round_sources=None):
+        stores = (DagStore(committee4), OracleDagStore(committee4))
+        for dag in stores:
+            for vertex in genesis_vertices(committee4):
+                dag.add(vertex)
+            build_round(dag, committee4, 1, sources=first_round_sources)
+            for round_number in range(2, 7):
+                build_round(dag, committee4, round_number)
+        return stores
+
+    def test_unreachable_straggler_matches_oracle(self, committee4):
         # Round 1 misses validator 3, so no stored edge ever names (1, 3):
         # a late delivery of that vertex reconnects nothing.
-        dag = DagStore(committee4)
-        for vertex in genesis_vertices(committee4):
-            dag.add(vertex)
-        build_round(dag, committee4, 1, sources=[0, 1, 2])
-        for round_number in range(2, 7):
-            build_round(dag, committee4, round_number)
-        root = dag.vertex_of(6, 0)
-        for target in (2, 3, 4, 5):
-            dag.reachable_sources(root.id, target)
-        dag.garbage_collect(2)
-        warm_before = {
-            vertex_id: dict(entry) for vertex_id, entry in dag._reach_cache.items()
-        }
-        assert warm_before, "the cache should hold entries after GC"
+        dag, oracle = self._stores(committee4, first_round_sources=[0, 1, 2])
         genesis = [vid(0, source) for source in committee4.validators]
-        straggler = make_vertex(1, 3, edges=genesis)
-        assert dag.add(straggler) is True
-        # Nothing reaches the straggler, so every warm entry survives.
-        assert {
-            vertex_id: dict(entry) for vertex_id, entry in dag._reach_cache.items()
-        } == warm_before
+        for store in (dag, oracle):
+            store.garbage_collect(2)
+            assert store.add(make_vertex(1, 3, edges=genesis)) is True
+        assert vid(1, 3) in dag
+        assert_matches_oracle(dag, oracle, committee4)
+        assert not any(vertex.id == vid(1, 3) for vertex in dag.causal_history(vid(6, 0)))
 
-    def test_reachable_straggler_invalidates_only_low_targets(self, committee4):
-        dag = self._grown_dag(committee4)
-        root = dag.vertex_of(6, 0)
-        for target in (2, 3, 4, 5):
-            dag.reachable_sources(root.id, target)
-        dag.garbage_collect(3)
-        entry_before = dict(dag._reach_cache[root.id])
-        assert set(entry_before) >= {3, 4, 5}
+    def test_reachable_straggler_matches_oracle(self, committee4):
+        dag, oracle = self._stores(committee4)
         # Re-deliver the pruned (2, 0) vertex: round-3 edges name it, so
-        # every vertex above can reach it.
+        # every vertex above can reach it (but not through it: round 1 is
+        # gone, so the walk stops there).
         straggler = make_vertex(2, 0, edges=[vid(1, 0), vid(1, 1), vid(1, 2)])
-        assert dag.add(straggler) is True
-        entry_after = dag._reach_cache.get(root.id, {})
-        # Targets above the straggler's round survive; lower ones are gone.
-        assert set(entry_after) >= {3, 4, 5}
-        assert all(target > 2 for target in entry_after)
+        for store in (dag, oracle):
+            store.garbage_collect(3)
+            assert store.add(straggler) is True
+        assert_matches_oracle(dag, oracle, committee4)
+        assert dag.path(vid(6, 0), vid(2, 0))
+        assert dag.path(vid(6, 0), vid(1, 0))
+        assert dag.reachable_sources(vid(6, 0), 2) == frozenset(committee4.validators)
 
-    def test_straggler_results_match_oracle_after_invalidation(self, committee4):
-        """Differential check: cached path() equals the reference BFS."""
-        cached = self._grown_dag(committee4)
-        cached.garbage_collect(3)
-        # Warm every entry.
-        for vertex in list(cached):
+    def test_straggler_results_match_oracle(self, committee4):
+        """Queries issued before the straggler arrives leave nothing stale."""
+        dag, oracle = self._stores(committee4)
+        dag.garbage_collect(3)
+        for vertex in list(dag):
             for target in range(3, vertex.round):
-                cached.reachable_sources(vertex.id, target)
+                dag.reachable_sources(vertex.id, target)
         # Deliver a straggler below the horizon (state-sync replay).
         straggler = make_vertex(2, 0, edges=[vid(1, 0), vid(1, 1), vid(1, 2)])
-        cached.add(straggler)
-        # The oracle replays the same content (same GC horizon, same
-        # straggler) without any caching.
-        oracle = DagStore(committee4, cache_reachability=False)
+        dag.add(straggler)
         oracle.garbage_collect(3)
-        for vertex in sorted(cached, key=lambda v: (v.round, v.source)):
-            oracle.add(vertex)
-        assert len(oracle) == len(cached)
-        for vertex in list(cached):
-            for target in range(vertex.round):
-                for source in committee4.validators:
-                    target_id = vid(target, source)
-                    assert cached.path(vertex.id, target_id) == oracle.path(
-                        vertex.id, target_id
-                    ), f"path({vertex.id}, {target_id}) diverged from the oracle"
+        oracle.add(straggler)
+        assert_matches_oracle(dag, oracle, committee4)
 
 
-class TestCachedCausalHistory:
-    def test_cached_history_matches_walk(self, committee4):
-        cached = DagStore(committee4, cache_reachability=True)
-        walk = DagStore(committee4, cache_reachability=False)
-        for store in (cached, walk):
+class TestCausalHistoryWalk:
+    def test_history_matches_oracle_with_holes(self, committee4):
+        dag = DagStore(committee4)
+        oracle = OracleDagStore(committee4)
+        for store in (dag, oracle):
             for vertex in genesis_vertices(committee4):
                 store.add(vertex)
         for round_number in range(1, 8):
             # Vary participation so the DAG has holes.
             sources = [0, 1, 2] if round_number % 3 == 0 else None
-            build_round(cached, committee4, round_number, sources=sources)
-            build_round(walk, committee4, round_number, sources=sources)
-        for vertex in list(cached):
-            assert cached.causal_history(vertex.id) == walk.causal_history(vertex.id)
-            assert cached.causal_history(vertex.id, include_root=False) == walk.causal_history(
-                vertex.id, include_root=False
-            )
+            build_round(dag, committee4, round_number, sources=sources)
+            build_round(oracle, committee4, round_number, sources=sources)
+        assert_matches_oracle(dag, oracle, committee4)
 
-    def test_exclude_set_still_uses_the_walk(self, committee4):
-        dag = DagStore(committee4, cache_reachability=True)
-        for vertex in genesis_vertices(committee4):
-            dag.add(vertex)
-        for round_number in range(1, 4):
-            build_round(dag, committee4, round_number)
+    def test_exclude_set_blocks_the_walk(self, committee4):
+        dag = DagStore(committee4)
+        oracle = OracleDagStore(committee4)
+        for store in (dag, oracle):
+            for vertex in genesis_vertices(committee4):
+                store.add(vertex)
+            for round_number in range(1, 4):
+                build_round(store, committee4, round_number)
         root = dag.vertex_of(3, 0)
         excluded = {vertex.id for vertex in dag.vertices_at(1)}
         history = dag.causal_history(root.id, exclude=excluded)
         assert all(vertex.id not in excluded for vertex in history)
+        # Round 1 is excluded entirely, so genesis is cut off too.
+        assert [vertex.round for vertex in history] == [2, 2, 2, 2, 3]
+        assert history == oracle.causal_history(root.id, exclude=excluded)
+        # An exclude set that is not causally closed downwards prunes the
+        # walk where it stands instead of filtering afterwards.
+        partial = {vid(2, 0), vid(2, 1), vid(1, 3)}
+        assert dag.causal_history(root.id, exclude=partial) == oracle.causal_history(
+            root.id, exclude=partial
+        )
+        assert dag.causal_history(root.id, exclude={root.id}) == []
 
-    def test_cached_history_includes_below_horizon_stragglers(self, committee4):
+    def test_history_includes_below_horizon_stragglers(self, committee4):
         """Regression: a stored straggler below the GC horizon is history too."""
         dag = DagStore(committee4)
         for vertex in genesis_vertices(committee4):
@@ -393,13 +396,11 @@ class TestCachedCausalHistory:
         straggler = make_vertex(2, 0, edges=[vid(1, 0), vid(1, 1), vid(1, 2)])
         assert dag.add(straggler) is True
         root = dag.vertex_of(6, 0)
-        cached_history = dag.causal_history(root.id)
-        # A non-empty exclude set forces the reference walk.
-        walk_history = dag.causal_history(root.id, exclude={vid(99, 0)})
-        assert straggler.id in {vertex.id for vertex in cached_history}
-        assert cached_history == walk_history
+        history = dag.causal_history(root.id)
+        assert straggler.id in {vertex.id for vertex in history}
+        assert history == dag.causal_history(root.id, exclude={vid(99, 0)})
 
-    def test_cached_history_ordering_is_round_then_source(self, committee4):
+    def test_history_ordering_is_round_then_source(self, committee4):
         dag = DagStore(committee4)
         for vertex in genesis_vertices(committee4):
             dag.add(vertex)
@@ -410,3 +411,25 @@ class TestCachedCausalHistory:
         keys = [(vertex.round, vertex.source) for vertex in history]
         assert keys == sorted(keys)
         assert history[-1].id == root.id
+
+
+class TestWalkKeepsNoState:
+    def test_serving_deep_fetches_leaves_no_per_query_state(self):
+        """The fetch responder's whole-history queries allocate nothing
+        that outlives the call (the memoized cache they replaced held
+        one entry per vertex and target round)."""
+        committee = Committee.build(25)
+        dag = DagStore(committee)
+        populate_dag(dag, committee, rounds=80)
+
+        def footprint():
+            return {
+                name: len(value) if hasattr(value, "__len__") else value
+                for name, value in vars(dag).items()
+            }
+
+        before = footprint()
+        for vertex in dag.vertices_at(80):
+            history = dag.causal_history(vertex.id)
+            assert len(history) == 25 * 80 + 1
+        assert footprint() == before

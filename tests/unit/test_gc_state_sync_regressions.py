@@ -29,6 +29,7 @@ from repro.schedule.round_robin import initial_schedule
 from repro.types import Round, VertexId
 
 from tests.conftest import build_round, vid
+from tests.dag_oracle import OracleDagStore
 
 
 # -- garbage_collect promotes / purges the pending buffer ----------------------------
@@ -217,7 +218,7 @@ def drive_switch_scenario(incremental: bool) -> BullsharkConsensus:
     quorum of votes — but no further insertion will ever dirty round 4.
     """
     committee = Committee.build(4)
-    dag = DagStore(committee, cache_reachability=incremental)
+    dag = DagStore(committee) if incremental else OracleDagStore(committee)
     for vertex in genesis_vertices(committee):
         dag.add(vertex)
     manager = SwitchOnceManager(
