@@ -38,7 +38,7 @@ that future PRs can diff the perf trajectory (``benchmarks/run_bench.py``
 wraps this together with a scenario smoke run and the tier-2 qualitative
 suite; ``BENCH_PR1.json``–``BENCH_PR5.json`` hold earlier trajectories).
 ``benchmarks/check_regression.py`` compares a freshly generated document
-against the committed baseline and fails CI on a >10% events/sec drop or
+against the committed baseline and fails CI on a >10% wall-time growth or
 an out-of-tolerance ``memory_per_validator`` growth.
 
 Run with::

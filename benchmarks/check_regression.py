@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
 """Bench regression gate: diff a fresh bench JSON against the baseline.
 
-Compares the ``events_per_sec`` of every stage a freshly generated bench
-document shares with the committed baseline (``BENCH_PR10.json`` at the
-repository root, i.e. the trajectory recorded when the current
-optimization PR landed) and exits non-zero when any stage regressed by
-more than the threshold (default 10%).
+Compares the wall time (``wall_s``) of every stage a freshly generated
+bench document shares with the committed baseline (``BENCH_PR10.json``
+at the repository root, i.e. the trajectory recorded when the current
+optimization PR landed) and exits non-zero when any stage got slower by
+more than the threshold (default 10%).  A stage runs the same
+configuration in both documents (their ordering digests must agree), so
+wall time compares like for like however much work each simulator event
+does.  Events/sec is printed alongside for information only: a change
+that removes cheap events lowers events/sec while the stage gets faster.
 
 Stages that carry ``memory_per_validator`` (the committee-scaling
 stages, from PR9 onward) are additionally gated on memory: growth beyond
@@ -16,9 +20,9 @@ the host's clock speed.  A baseline recorded before the metric existed
 simply skips the comparison with an info line.
 
 When both documents carry a CPU-calibration stage (``calibration`` —
-see ``run_bench.run_cpu_calibration``), every events/sec ratio is
-divided by the hosts' calibration ratio first: a hosted runner that is
-uniformly 2x slower than the reference container then compares clean
+see ``run_bench.run_cpu_calibration``), every wall-time ratio is
+multiplied by the hosts' calibration ratio first: a hosted runner that
+is uniformly 2x slower than the reference container then compares clean
 against a reference-recorded baseline, so the gate can run at its tight
 threshold instead of the 0.35-wide compensation it needed before.
 Disable with ``--no-calibration`` (or ``REPRO_BENCH_NO_CALIBRATION=1``)
@@ -128,7 +132,7 @@ def calibration_ratio(fresh: dict, baseline: dict) -> Optional[float]:
 
     ``None`` (no calibration in either document, non-positive scores, or
     a ratio outside :data:`CALIBRATION_RATIO_BOUNDS`) means the caller
-    must compare raw events/sec.
+    must compare raw wall times.
     """
     fresh_score = float((fresh.get("calibration") or {}).get("cpu_score") or 0.0)
     base_score = float((baseline.get("calibration") or {}).get("cpu_score") or 0.0)
@@ -138,6 +142,25 @@ def calibration_ratio(fresh: dict, baseline: dict) -> Optional[float]:
     low, high = CALIBRATION_RATIO_BOUNDS
     if not low <= ratio <= high:
         return None
+    return ratio
+
+
+def wall_ratio(
+    fresh: dict, baseline: dict, cpu_ratio: Optional[float] = None
+) -> Optional[float]:
+    """fresh / baseline ``wall_s`` of one stage, or ``None`` when either lacks it.
+
+    With a calibration ratio (fresh host speed / baseline host speed) the
+    fresh wall time is scaled to the baseline host first: a host twice as
+    fast needs half the wall time for the same work.
+    """
+    base_wall = float(baseline.get("wall_s") or 0.0)
+    fresh_wall = float(fresh.get("wall_s") or 0.0)
+    if base_wall <= 0.0 or fresh_wall <= 0.0:
+        return None
+    ratio = fresh_wall / base_wall
+    if cpu_ratio is not None:
+        ratio *= cpu_ratio
     return ratio
 
 
@@ -157,27 +180,20 @@ def compare_stage(
     if fresh is None:
         findings.append(Mismatch(stage, "not in fresh document, skipped", fatal=False))
         return findings
-    base_eps = float(baseline.get("events_per_sec") or 0.0)
-    fresh_eps = float(fresh.get("events_per_sec") or 0.0)
-    if base_eps <= 0.0:
-        findings.append(Mismatch(stage, "baseline has no events/sec, skipped", fatal=False))
-    else:
-        ratio = fresh_eps / base_eps
-        note = ""
-        if cpu_ratio is not None:
-            # Normalize out the hosts' single-core speed difference.
-            ratio = ratio / cpu_ratio
-            note = f", cpu-normalized by {cpu_ratio:.3f}"
-        if ratio < 1.0 - threshold:
-            findings.append(
-                Mismatch(
-                    stage,
-                    f"events/sec regressed {100 * (1 - ratio):.1f}%: "
-                    f"{fresh_eps:,.0f} vs baseline {base_eps:,.0f} "
-                    f"(threshold {100 * threshold:.0f}%{note})",
-                    fatal=True,
-                )
+    ratio = wall_ratio(fresh, baseline, cpu_ratio)
+    if ratio is None:
+        findings.append(Mismatch(stage, "no wall time in both documents, skipped", fatal=False))
+    elif ratio > 1.0 + threshold:
+        note = f", cpu-normalized by {cpu_ratio:.3f}" if cpu_ratio is not None else ""
+        findings.append(
+            Mismatch(
+                stage,
+                f"wall time regressed {100 * (ratio - 1):.1f}%: "
+                f"{float(fresh['wall_s']):.4f}s vs baseline {float(baseline['wall_s']):.4f}s "
+                f"(threshold {100 * threshold:.0f}%{note})",
+                fatal=True,
             )
+        )
     fresh_memory = float(fresh.get("memory_per_validator") or 0.0)
     base_memory = float(baseline.get("memory_per_validator") or 0.0)
     if fresh_memory > 0.0:
@@ -217,8 +233,8 @@ def compare_stage(
 def compare_scenario_stage(stage: str, fresh: dict, baseline: dict) -> List[Mismatch]:
     """Digest-compare one scenario stage (``scenario_smoke``/``scenario_adversary``).
 
-    Scenario stages carry no events/sec, so the gate checks their
-    *outputs*: when both documents ran the same scenario (equal
+    Scenario stages are not timed against the baseline, so the gate
+    checks their *outputs*: when both documents ran the same scenario (equal
     ``scenario_digest``), every shared point must reproduce the
     baseline's ordering digest — this is what pins the adversary
     engine's behavior (honest and Byzantine alike) across PRs.  A
@@ -318,7 +334,7 @@ def compare_lossy_stage(
 ) -> List[Mismatch]:
     """Gate the ``lossy_recovery`` stage (bench_hotpaths, PR10 onward).
 
-    Each piggyback variant gets the standard events/sec + ordering-digest
+    Each piggyback variant gets the standard wall-time + ordering-digest
     comparison against its baseline counterpart (the variants are
     deterministic runs, so their digests are pins like any committee
     stage's).  On top of that, the *fresh* document must itself satisfy
@@ -326,7 +342,7 @@ def compare_lossy_stage(
     one stash heal, no-worse average park-to-promote stall, consistent
     committed prefixes (see ``benchmarks/check_recovery.py``, which owns
     the assertions) — so a change that silently breaks the recovery win
-    fails the gate even when raw events/sec stay healthy.
+    fails the gate even when wall time stays healthy.
     """
     findings: List[Mismatch] = []
     fresh_stage = fresh.get("lossy_recovery") or {}
@@ -361,31 +377,39 @@ def compare_lossy_stage(
     return findings
 
 
+# (stage, baseline wall_s, fresh wall_s, normalized wall ratio or None,
+#  baseline events/sec, fresh events/sec)
+DeltaRow = Tuple[str, float, float, Optional[float], float, float]
+
+
 def stage_deltas(
     fresh: dict,
     baseline: dict,
     cpu_ratio: Optional[float] = None,
-) -> List[Tuple[str, float, float, Optional[float]]]:
-    """Per-stage events/sec delta rows for every matched perf stage.
+) -> List[DeltaRow]:
+    """Per-stage delta rows for every matched perf stage.
 
-    Returns ``(stage, baseline_eps, fresh_eps, normalized_ratio)`` rows —
-    ratio ``None`` when the baseline carries no events/sec.  Printed on
-    every gate run (pass or fail), so CI logs always show the perf
-    trajectory instead of only surfacing it once a threshold trips.
+    The gated figure is the (cpu-normalized) wall-time ratio, ``None``
+    when either document lacks a wall time; events/sec ride along for
+    information.  Printed on every gate run (pass or fail), so CI logs
+    always show the perf trajectory instead of only surfacing it once a
+    threshold trips.
     """
-    rows: List[Tuple[str, float, float, Optional[float]]] = []
+    rows: List[DeltaRow] = []
 
     def add(stage: str, fresh_point: Optional[dict], base_point: Optional[dict]) -> None:
         if fresh_point is None or base_point is None:
             return
-        base_eps = float(base_point.get("events_per_sec") or 0.0)
-        fresh_eps = float(fresh_point.get("events_per_sec") or 0.0)
-        ratio: Optional[float] = None
-        if base_eps > 0.0:
-            ratio = fresh_eps / base_eps
-            if cpu_ratio is not None:
-                ratio /= cpu_ratio
-        rows.append((stage, base_eps, fresh_eps, ratio))
+        rows.append(
+            (
+                stage,
+                float(base_point.get("wall_s") or 0.0),
+                float(fresh_point.get("wall_s") or 0.0),
+                wall_ratio(fresh_point, base_point, cpu_ratio),
+                float(base_point.get("events_per_sec") or 0.0),
+                float(fresh_point.get("events_per_sec") or 0.0),
+            )
+        )
 
     fig1_keys = ("committee_size", "input_load_tps")
     fresh_fig1 = _index_points(_fig1_points(fresh), fig1_keys)
@@ -412,16 +436,20 @@ def stage_deltas(
     return rows
 
 
-def render_delta_table(rows: List[Tuple[str, float, float, Optional[float]]]) -> List[str]:
+def render_delta_table(rows: List[DeltaRow]) -> List[str]:
     """Aligned text table for :func:`stage_deltas` rows."""
     if not rows:
         return ["no matched perf stages between the two documents"]
     width = max(len(row[0]) for row in rows)
-    lines = [f"{'stage'.ljust(width)}  {'baseline':>12}  {'fresh':>12}  {'delta':>8}"]
-    for stage, base_eps, fresh_eps, ratio in rows:
+    lines = [
+        f"{'stage'.ljust(width)}  {'base wall':>10}  {'fresh wall':>10}  {'delta':>8}"
+        f"  {'base ev/s':>10}  {'fresh ev/s':>10}"
+    ]
+    for stage, base_wall, fresh_wall, ratio, base_eps, fresh_eps in rows:
         delta = "n/a" if ratio is None else f"{100.0 * (ratio - 1.0):+.1f}%"
         lines.append(
-            f"{stage.ljust(width)}  {base_eps:>12,.0f}  {fresh_eps:>12,.0f}  {delta:>8}"
+            f"{stage.ljust(width)}  {base_wall:>9.4f}s  {fresh_wall:>9.4f}s  {delta:>8}"
+            f"  {base_eps:>10,.0f}  {fresh_eps:>10,.0f}"
         )
     return lines
 
@@ -440,7 +468,7 @@ def compare_documents(
         findings.append(
             Mismatch(
                 "calibration",
-                "no usable CPU calibration in both documents; comparing raw events/sec",
+                "no usable CPU calibration in both documents; comparing raw wall times",
                 fatal=False,
             )
         )
@@ -449,7 +477,7 @@ def compare_documents(
             Mismatch(
                 "calibration",
                 f"hosts differ by {cpu_ratio:.3f}x single-core speed; "
-                "events/sec ratios are cpu-normalized",
+                "wall-time ratios are cpu-normalized",
                 fatal=False,
             )
         )
@@ -510,7 +538,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         action="store_true",
         default=os.environ.get("REPRO_BENCH_NO_CALIBRATION", "").strip().lower()
         not in ("", "0", "false", "no"),
-        help="compare raw events/sec without CPU-calibration normalization",
+        help="compare raw wall times without CPU-calibration normalization",
     )
     parser.add_argument(
         "--threshold",
@@ -518,7 +546,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=float(
             os.environ.get("REPRO_BENCH_REGRESSION_THRESHOLD", DEFAULT_THRESHOLD)
         ),
-        help="fractional events/sec regression tolerated per stage (default 0.10)",
+        help="fractional wall-time growth tolerated per stage (default 0.10)",
     )
     parser.add_argument(
         "--memory-threshold",
@@ -543,7 +571,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     cpu_ratio = calibration_ratio(fresh, baseline) if not args.no_calibration else None
     label = " (cpu-normalized)" if cpu_ratio is not None else ""
-    print(f"per-stage events/sec{label}:")
+    print(f"per-stage wall time{label} (events/sec for information):")
     for line in render_delta_table(stage_deltas(fresh, baseline, cpu_ratio)):
         print(f"  {line}")
     findings = compare_documents(

@@ -30,8 +30,8 @@ Stages, all optional and all budgeted:
 
 The merged document is written to ``BENCH_PR9.json`` at the repository
 root so future PRs can diff the performance trajectory;
-``benchmarks/check_regression.py`` gates CI against it (>10% events/sec
-regression at any stage fails, after CPU-calibration normalization;
+``benchmarks/check_regression.py`` gates CI against it (>10% wall-time
+growth at any stage fails, after CPU-calibration normalization;
 ``memory_per_validator`` growth beyond its own tolerance fails too).
 
 Run with::

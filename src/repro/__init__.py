@@ -76,7 +76,14 @@ from repro.sim import (
     latency_throughput_curve,
     run_experiment,
 )
-from repro.workload import LoadGenerator, LoadPhase, Transaction, spawn_load, spawn_phased_load
+from repro.workload import (
+    LoadGenerator,
+    LoadPhase,
+    Transaction,
+    TransactionIngest,
+    spawn_load,
+    spawn_phased_load,
+)
 
 # Imported last: the scenario engine builds on every layer above.
 from repro.scenarios import (
@@ -129,6 +136,7 @@ __all__ = [
     # Workload
     "Transaction",
     "LoadGenerator",
+    "TransactionIngest",
     "spawn_load",
     "LoadPhase",
     "spawn_phased_load",

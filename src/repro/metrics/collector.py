@@ -15,7 +15,8 @@ bias results.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from operator import attrgetter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.consensus.committed import OrderedVertex
 from repro.metrics.execution import ExecutionModel
@@ -23,6 +24,8 @@ from repro.metrics.latency import LatencyStats
 from repro.node.validator import ValidatorNode
 from repro.types import SimTime
 from repro.workload.transactions import Transaction
+
+_ID_AND_SUBMIT_TIME = attrgetter("tx_id", "submitted_at")
 
 
 class MetricsCollector:
@@ -57,9 +60,14 @@ class MetricsCollector:
         node.on_ordered(self.on_vertex_ordered)
 
     def on_transaction_submitted(self, transaction: Transaction) -> None:
-        """Record a submission (wired as the load generator callback)."""
+        """Record one submission."""
         self.submitted += 1
         self._submit_times[transaction.tx_id] = transaction.submitted_at
+
+    def on_transactions_submitted(self, transactions: Sequence[Transaction]) -> None:
+        """Record a batch of submissions (wired as the ingest's drain callback)."""
+        self.submitted += len(transactions)
+        self._submit_times.update(map(_ID_AND_SUBMIT_TIME, transactions))
 
     def on_vertex_ordered(self, record: OrderedVertex) -> None:
         """Record commit times for the transactions of an ordered vertex."""

@@ -316,8 +316,7 @@ class LockstepSimulationRunner(SimulationRunner):
         return FaultInjector([])
 
     def _start_load(self) -> None:
-        # Blocks are plan-synthesized inside LockstepNode._next_batch.
-        self._load_generators = []
+        """No client load: blocks are plan-synthesized in ``LockstepNode._next_batch``."""
 
     def _wire_observers(self) -> None:
         # No client load means no latency/throughput samples; attaching

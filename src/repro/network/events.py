@@ -68,16 +68,15 @@ class EventHandle:
 # * ``(time, sequence, handle)`` — a cancellable event carrying an
 #   :class:`EventHandle`.
 # * ``(time, sequence, None, callback, args)`` — a raw fire-and-forget
-#   event (message deliveries, workload submissions).  These are never
+#   event (message deliveries).  These are never
 #   cancelled, so the handle allocation is skipped entirely; ``args`` is
 #   ``None`` or a tuple passed to ``callback``.
 #
 # The raw-entry protocol is deliberately inlined at every site (a shared
 # push helper would reintroduce the per-event call the shape exists to
 # avoid).  If the entry shape or the ``_live``/``_cancelled`` accounting
-# changes, update ALL of: producers ``EventQueue.push``,
-# ``Network._schedule_delivery`` (transport.py), and
-# ``LoadGenerator._deliver_next`` (workload/generator.py); consumers
+# changes, update ALL of: producers ``EventQueue.push`` and
+# ``Network._schedule_delivery`` (transport.py); consumers
 # ``EventQueue.pop``/``peek_time`` and ``Simulator.run``/``step``.
 _Entry = Tuple[SimTime, int, Optional[EventHandle]]
 

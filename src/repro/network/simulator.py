@@ -147,7 +147,7 @@ class Simulator:
                 popped += 1
                 handle = entry[2]
                 if handle is None:
-                    # Raw fire-and-forget entry (deliveries, workload).
+                    # Raw fire-and-forget entry (message deliveries).
                     self._now = entry[0]
                     args = entry[4]
                     if args is None:

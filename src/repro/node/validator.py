@@ -20,7 +20,7 @@ implementation does:
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.behavior import HONEST, BehaviorPolicy
 from repro.committee import Committee
@@ -41,6 +41,9 @@ from repro.rbc.bracha import BrachaBroadcast
 from repro.rbc.certified import CertifiedBroadcast
 from repro.storage.store import PersistentStore
 from repro.types import Round, SimTime, ValidatorId, VertexId, is_anchor_round
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.workload.ingest import TransactionIngest
 
 # Legacy hook type for tampering with proposal parent selection.  New code
 # expresses this (and the other behavioral decision points) through
@@ -102,8 +105,10 @@ class ValidatorNode:
         self.broadcast_protocol = self._build_broadcast()
         self._message_handlers = self._build_message_handlers()
 
-        # Transaction pool (FIFO).
+        # Transaction pool (FIFO), filled by the run's client-load ingest
+        # (see repro.workload.ingest) when one is installed.
         self.transaction_pool: Deque = deque()
+        self.ingest: Optional["TransactionIngest"] = None
         # Round progression state.
         self.current_round: Round = 0
         self.started = False
@@ -175,6 +180,7 @@ class ValidatorNode:
         """Crash the node: it stops proposing and drops all traffic."""
         if self.crashed:
             return
+        self._drain_ingest()
         self.crashed = True
         self.network.set_crashed(self.id, True)
         self._cancel_timers()
@@ -199,6 +205,7 @@ class ValidatorNode:
         if not self.crashed:
             return
         self.recoveries += 1
+        self._drain_ingest()
         self.crashed = False
         self.network.set_crashed(self.id, False)
         if self.schedule_manager_factory is not None:
@@ -309,8 +316,17 @@ class ValidatorNode:
 
     # -- transactions ---------------------------------------------------------------
 
+    def _drain_ingest(self) -> None:
+        """Deliver the client arrivals due before now into the pools."""
+        if self.ingest is not None:
+            self.ingest.drain(self.simulator.now)
+
     def submit_transaction(self, transaction) -> None:
-        """Accept a client transaction into the local pool."""
+        """Accept a client transaction into the local pool.
+
+        Direct submission, for callers outside a deployment's ingest (the
+        ingest appends to the pool itself).
+        """
         if self.crashed:
             return
         self.transactions_submitted += 1
@@ -405,6 +421,7 @@ class ValidatorNode:
         self.simulator.schedule(delay, fire)
 
     def _next_batch(self) -> Sequence:
+        self._drain_ingest()
         pool = self.transaction_pool
         size = len(pool)
         if size == 0:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.committee import Committee, equal_stake, geometric_stake, zipfian_stake
 from repro.core.manager import (
@@ -45,7 +45,8 @@ from repro.sim.experiment import (
 )
 from repro.sim.presets import execution_capacity_for, node_config_for
 from repro.types import ValidatorId
-from repro.workload.generator import LoadGenerator, spawn_load
+from repro.workload.generator import spawn_load
+from repro.workload.ingest import TransactionIngest
 from repro.workload.phases import LoadPhase, spawn_phased_load
 
 
@@ -78,9 +79,10 @@ class SimulationRunner:
         )
         self.leader_stats = LeaderUtilizationStats()
         self.fault_injector = self._build_faults()
-        # Live load generators (filled by _start_load); partition-aware
-        # failover retargets them while a partition window is open.
-        self._load_generators: List[LoadGenerator] = []
+        # Client load of the run (built by _start_load at run start);
+        # partition-aware failover retargets it while a partition window
+        # is open.
+        self.ingest: Optional[TransactionIngest] = None
         self.tracer = None
         self.registry = None
         self.profiler = None
@@ -243,6 +245,10 @@ class SimulationRunner:
                 self._schedule_partition_failover()
             with self._event_loop_phase():
                 self.simulator.run(until=config.duration)
+            if self.ingest is not None:
+                # Arrivals after the last batch cut still count as
+                # submitted (the end-of-run drain point).
+                self.ingest.finish(config.duration)
             return self._build_result()
         finally:
             if gc_was_enabled:
@@ -276,30 +282,28 @@ class SimulationRunner:
             self.simulator.schedule(jitter, node.start)
 
     def _start_load(self) -> None:
+        """Build the run's client-load ingest and hand it to every validator."""
+        if not self.config.load_phases and self.config.input_load_tps <= 0:
+            return
+        ingest = TransactionIngest(on_submit=self.metrics.on_transactions_submitted)
         if self.config.load_phases:
             # Phased profile (scenario workloads): explicit (start, end,
             # tps) windows override the constant-rate path.
             phases = [
                 LoadPhase(start, end, tps) for start, end, tps in self.config.load_phases
             ]
-            self._load_generators = spawn_phased_load(
-                simulator=self.simulator,
+            spawn_phased_load(ingest=ingest, targets=self._load_targets(), phases=phases)
+        else:
+            spawn_load(
+                ingest=ingest,
                 targets=self._load_targets(),
-                phases=phases,
-                on_submit=self.metrics.on_transaction_submitted,
+                total_rate=self.config.input_load_tps,
+                duration=self.config.duration,
+                start_time=0.5,
             )
-            return
-        if self.config.input_load_tps <= 0:
-            return
-        targets = self._load_targets()
-        self._load_generators = spawn_load(
-            simulator=self.simulator,
-            targets=targets,
-            total_rate=self.config.input_load_tps,
-            duration=self.config.duration,
-            start_time=0.5,
-            on_submit=self.metrics.on_transaction_submitted,
-        )
+        self.ingest = ingest
+        for node in self.nodes.values():
+            node.ingest = ingest
 
     def _load_targets(self) -> List[ValidatorNode]:
         """Validators that receive client load.
@@ -343,17 +347,18 @@ class SimulationRunner:
                 continue
 
             def fail_over(targets=inside) -> None:
-                for generator in self._load_generators:
-                    generator.set_targets(targets)
+                self._retarget_clients(targets)
 
             def fail_back() -> None:
-                targets = self._load_targets()
-                for generator in self._load_generators:
-                    generator.set_targets(targets)
+                self._retarget_clients(self._load_targets())
 
             self.simulator.schedule_at(max(plan.start, 0.0), fail_over)
             if plan.end is not None:
                 self.simulator.schedule_at(plan.end, fail_back)
+
+    def _retarget_clients(self, targets: List[ValidatorNode]) -> None:
+        if self.ingest is not None:
+            self.ingest.retarget(targets, self.simulator.now)
 
     def _majority_side(self, plan: PartitionPlan):
         """The side of ``plan`` holding a stake quorum, if any."""

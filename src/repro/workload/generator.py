@@ -7,48 +7,51 @@ transaction enters the validator's pool.  Mirroring the paper, a single
 client never submits more than ``MAX_RATE_PER_CLIENT`` transactions per
 second; :func:`spawn_load` creates as many clients as needed for a target
 system load.
+
+A generator is pure arithmetic: its schedule is a closed form in the
+transaction index, and it never touches the simulator's event queue.
+The run's :class:`~repro.workload.ingest.TransactionIngest` delivers the
+due arrivals in bulk at four drain points: when a validator cuts a
+batch, just before a validator crashes or recovers, just before clients
+are retargeted, and at the end of the run.  An arrival due exactly at a
+draining instant comes after the batch cut, state flip or retarget at
+that instant; the end-of-run drain includes arrivals at the horizon.
 """
 
 from __future__ import annotations
 
 import itertools
-from heapq import heappush as _heappush
-from typing import Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.errors import WorkloadError
-from repro.network.simulator import Simulator
-from repro.node.validator import ValidatorNode
 from repro.types import SimTime
-from repro.workload.transactions import Transaction
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.node.validator import ValidatorNode
+    from repro.workload.ingest import TransactionIngest
 
 # The paper: "each benchmark client submits at most 350 tx/s".
 MAX_RATE_PER_CLIENT = 350.0
 
-# Callback used to tell the metrics collector about a submission.
-SubmitCallback = Callable[[Transaction], None]
-
-
-# Process-wide transaction id source (module-level: the class-attribute
-# lookup per transaction was measurable at peak load).
-_next_tx_id = itertools.count()
-
 
 class LoadGenerator:
-    """One benchmark client submitting at a fixed rate."""
+    """One benchmark client submitting at a fixed rate.
 
-    # Back-compat alias; new code uses the module-level counter.
-    _id_counter = _next_tx_id
+    Transaction ``index`` (counting from 0) is submitted at
+    ``first_time + index * interval`` and arrives at its target at that
+    instant plus ``submission_delay``.  Both are computed by index rather
+    than by accumulation, so floating-point drift never adds or drops a
+    transaction.
+    """
 
     def __init__(
         self,
         client_id: int,
-        simulator: Simulator,
-        targets: Sequence[ValidatorNode],
+        targets: Sequence["ValidatorNode"],
         rate: float,
         duration: SimTime,
         start_time: SimTime = 0.0,
         submission_delay: SimTime = 0.040,
-        on_submit: Optional[SubmitCallback] = None,
     ) -> None:
         if rate <= 0:
             raise WorkloadError("the submission rate must be positive")
@@ -62,58 +65,31 @@ class LoadGenerator:
         if duration <= 0:
             raise WorkloadError("the load duration must be positive")
         self.client_id = client_id
-        self.simulator = simulator
         self.targets = list(targets)
         self.rate = rate
         self.duration = duration
         self.start_time = start_time
         self.submission_delay = submission_delay
-        self.on_submit = on_submit
-        self.submitted = 0
         self._target_cycle = itertools.cycle(self.targets)
-        # Submission-chain state, initialized by start().
+        # Schedule, fixed by start().
         self._interval: SimTime = 0.0
         self._first_time: SimTime = start_time
         self._count = 0
+        # Index of the next transaction to deliver.
         self._next_index = 0
-        # Prebound callback and queue handle: ``self._deliver_next``
-        # creates a fresh bound method object per access, once per
-        # transaction at peak load.
-        self._deliver_bound = self._deliver_next
-        self._queue = simulator._queue
+
+    @property
+    def submitted(self) -> int:
+        """Transactions delivered so far (pooled or dropped at a crashed target)."""
+        return self._next_index
+
+    @property
+    def count(self) -> int:
+        """Transactions this client submits over its whole window."""
+        return self._count
 
     def start(self) -> None:
-        """Schedule the submission chain for the configured duration.
-
-        Submissions are scheduled just-in-time (each one schedules its
-        successor) instead of being pushed into the event queue up front: a
-        peak-load sweep point would otherwise start with tens of thousands
-        of pre-scheduled events, making every heap operation of the whole
-        run pay the log of that bulk.  Submission instants are still
-        computed by index rather than by accumulation so that
-        floating-point drift never adds or drops a transaction.
-
-        Each transaction costs a single simulator event: the event fires at
-        the *arrival* instant (submit time plus the client-to-validator
-        delay) and carries the precomputed submission timestamp, instead of
-        a submit event that schedules a separate arrival event.  This
-        halves the workload's share of the event queue.  Two observable
-        consequences, both deliberate:
-
-        * **Tie-break renumbering.** Event-queue ties are broken by
-          scheduling sequence number.  With the pair merged, workload
-          events obtain different sequence numbers than in the two-event
-          scheme, so same-instant ties against protocol events may resolve
-          differently than in older revisions.  Runs remain fully
-          deterministic for a given configuration (gated by
-          ``tests/unit/test_workload.py`` and the simulator determinism
-          tests); only cross-revision bit-compatibility was given up.
-        * **End-of-run accounting.** A transaction submitted within the
-          final ``submission_delay`` of the run used to count as submitted
-          even though it could never arrive; now neither half happens.
-          Metrics treat such transactions as never-submitted instead of
-          submitted-but-lost, which is the more honest reading.
-        """
+        """Fix the submission schedule for the configured duration."""
         interval = 1.0 / self.rate
         # Stagger clients slightly so submissions do not all land on the
         # same instant when many clients are created.
@@ -122,79 +98,50 @@ class LoadGenerator:
         self._first_time = self.start_time + offset
         self._count = int(round(self.rate * self.duration))
         self._next_index = 0
-        if self._count > 0:
-            self.simulator.schedule_at(
-                self._first_time + self.submission_delay, self._deliver_next
-            )
 
-    def set_targets(self, targets: Sequence[ValidatorNode]) -> None:
+    def submission_time(self, index: int) -> SimTime:
+        """When the client submits transaction ``index``."""
+        return self._first_time + index * self._interval
+
+    def set_targets(self, targets: Sequence["ValidatorNode"]) -> None:
         """Fail the client over to a new target set (partition failover).
 
         The round-robin cycle restarts at the head of the new set; no RNG
-        is involved, so retargeting keeps runs deterministic.
+        is involved, so retargeting keeps runs deterministic.  A running
+        deployment retargets through
+        :meth:`~repro.workload.ingest.TransactionIngest.retarget`, which
+        first delivers every arrival due under the old targets.
         """
         if not targets:
             raise WorkloadError("a load generator needs at least one target validator")
         self.targets = list(targets)
         self._target_cycle = itertools.cycle(self.targets)
 
-    def _deliver_next(self) -> None:
-        """Deliver one transaction and schedule the next delivery.
+    def _deliver_next(self) -> Tuple["ValidatorNode", Optional[SimTime]]:
+        """Advance past the next transaction (one step of the schedule).
 
-        A bound method rather than per-transaction closures: this runs once
-        per transaction at peak load, where the cost of materializing
-        function objects per submission is measurable.  The transaction's
-        ``submitted_at`` is the precomputed submission instant, not the
-        (later) arrival instant at which this event fires.
+        Returns the transaction's round-robin target and the submission
+        instant of the transaction after it, or ``None`` once the
+        schedule is exhausted.  The ingest calls this once per arrival.
         """
-        index = self._next_index
-        next_index = index + 1
-        self._next_index = next_index
-        first_time = self._first_time
-        interval = self._interval
-        if next_index < self._count:
-            # Inlined ``schedule_at`` with a raw fire-and-forget entry:
-            # one push per transaction at peak load, always in the future
-            # by construction and never cancelled.
-            queue = self._queue
-            sequence = queue._next_sequence
-            queue._next_sequence = sequence + 1
-            _heappush(
-                queue._heap,
-                (
-                    first_time + next_index * interval + self.submission_delay,
-                    sequence,
-                    None,
-                    self._deliver_bound,
-                    None,
-                ),
-            )
-            queue._live += 1
+        index = self._next_index + 1
+        self._next_index = index
         target = next(self._target_cycle)
-        transaction = Transaction(
-            next(_next_tx_id),
-            self.client_id,
-            first_time + index * interval,
-            target.id,
-        )
-        self.submitted += 1
-        on_submit = self.on_submit
-        if on_submit is not None:
-            on_submit(transaction)
-        target.submit_transaction(transaction)
+        if index < self._count:
+            return target, self._first_time + index * self._interval
+        return target, None
 
 
 def spawn_load(
-    simulator: Simulator,
-    targets: Sequence[ValidatorNode],
+    ingest: "TransactionIngest",
+    targets: Sequence["ValidatorNode"],
     total_rate: float,
     duration: SimTime,
     start_time: SimTime = 0.0,
     submission_delay: SimTime = 0.040,
-    on_submit: Optional[SubmitCallback] = None,
     first_client_id: int = 0,
 ) -> List[LoadGenerator]:
-    """Create and start enough clients to reach ``total_rate`` tx/s.
+    """Create enough clients to reach ``total_rate`` tx/s and add them to ``ingest``.
 
     Clients are added in units of at most 350 tx/s, exactly like the
     paper's deployment selects the number of load generators.
@@ -211,15 +158,13 @@ def spawn_load(
         rate = min(MAX_RATE_PER_CLIENT, remaining)
         generator = LoadGenerator(
             client_id=client_index,
-            simulator=simulator,
             targets=targets,
             rate=rate,
             duration=duration,
             start_time=start_time,
             submission_delay=submission_delay,
-            on_submit=on_submit,
         )
-        generator.start()
+        ingest.add(generator)
         generators.append(generator)
         remaining -= rate
         client_index += 1

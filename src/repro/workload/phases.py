@@ -12,7 +12,7 @@ common profiles from a handful of parameters:
 
 :func:`spawn_phased_load` materializes the segments with the same client
 machinery as constant load (:func:`repro.workload.generator.spawn_load`),
-so the per-client 350 tx/s cap and the single-event submission path apply
+so the per-client 350 tx/s cap and the pull-based ingest apply
 unchanged.
 """
 
@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.errors import WorkloadError
-from repro.network.simulator import Simulator
 from repro.node.validator import ValidatorNode
 from repro.types import SimTime
-from repro.workload.generator import LoadGenerator, SubmitCallback, spawn_load
+from repro.workload.generator import LoadGenerator, spawn_load
+from repro.workload.ingest import TransactionIngest
 
 
 @dataclasses.dataclass(frozen=True)
@@ -140,13 +140,12 @@ def diurnal_phases(
 
 
 def spawn_phased_load(
-    simulator: Simulator,
+    ingest: TransactionIngest,
     targets: Sequence[ValidatorNode],
     phases: Sequence[LoadPhase],
     submission_delay: SimTime = 0.040,
-    on_submit: Optional[SubmitCallback] = None,
 ) -> List[LoadGenerator]:
-    """Create and start clients for every phase of a phased workload.
+    """Create clients for every phase of a phased workload and add them to ``ingest``.
 
     Zero-rate phases are quiet windows: no clients are spawned for them.
     """
@@ -157,13 +156,12 @@ def spawn_phased_load(
             continue
         generators.extend(
             spawn_load(
-                simulator=simulator,
+                ingest=ingest,
                 targets=targets,
                 total_rate=phase.tps,
                 duration=phase.duration,
                 start_time=phase.start,
                 submission_delay=submission_delay,
-                on_submit=on_submit,
                 first_client_id=len(generators),
             )
         )

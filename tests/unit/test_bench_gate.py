@@ -14,16 +14,16 @@ if BENCHMARKS_DIR not in sys.path:
 import check_regression  # noqa: E402
 
 
-def fig1_point(load, eps):
-    return {"input_load_tps": load, "events_per_sec": eps}
+def fig1_point(load, wall, eps=100000.0):
+    return {"input_load_tps": load, "wall_s": wall, "events_per_sec": eps}
 
 
-def committee_point(size, load, eps, duration=20.0, digest=None):
+def committee_point(size, load, wall, duration=20.0, digest=None):
     point = {
         "committee_size": size,
         "input_load_tps": load,
         "duration_s": duration,
-        "events_per_sec": eps,
+        "wall_s": wall,
     }
     if digest is not None:
         point["ordering_digest"] = digest
@@ -36,39 +36,39 @@ def document(points=(), committee=()):
 
 class TestThresholdLogic:
     def test_identical_documents_pass(self):
-        doc = document([fig1_point(4000.0, 100000.0)], [committee_point(25, 4000.0, 200000.0)])
+        doc = document([fig1_point(4000.0, 1.0)], [committee_point(25, 4000.0, 2.0)])
         findings = check_regression.compare_documents(doc, doc, 0.10)
         assert not any(finding.fatal for finding in findings)
 
     def test_regression_beyond_threshold_fails(self):
-        base = document([fig1_point(4000.0, 100000.0)])
-        fresh = document([fig1_point(4000.0, 89000.0)])  # -11%
+        base = document([fig1_point(4000.0, 1.0)])
+        fresh = document([fig1_point(4000.0, 1.11)])  # +11% wall
         findings = check_regression.compare_documents(fresh, base, 0.10)
         assert any(finding.fatal for finding in findings)
 
     def test_regression_within_threshold_passes(self):
-        base = document([fig1_point(4000.0, 100000.0)])
-        fresh = document([fig1_point(4000.0, 91000.0)])  # -9%
+        base = document([fig1_point(4000.0, 1.0)])
+        fresh = document([fig1_point(4000.0, 1.09)])  # +9% wall
         findings = check_regression.compare_documents(fresh, base, 0.10)
         assert not any(finding.fatal for finding in findings)
 
     def test_boundary_is_exclusive(self):
-        # Exactly at the threshold (ratio == 1 - threshold) must pass:
+        # Exactly at the threshold (ratio == 1 + threshold) must pass:
         # the gate fails only on regressions *beyond* the tolerance.
-        base = document([fig1_point(4000.0, 100000.0)])
-        fresh = document([fig1_point(4000.0, 90000.0)])
+        base = document([fig1_point(4000.0, 1.0)])
+        fresh = document([fig1_point(4000.0, 1.1)])
         findings = check_regression.compare_documents(fresh, base, 0.10)
         assert not any(finding.fatal for finding in findings)
 
     def test_improvement_passes(self):
-        base = document(committee=[committee_point(25, 4000.0, 100000.0)])
-        fresh = document(committee=[committee_point(25, 4000.0, 250000.0)])
+        base = document(committee=[committee_point(25, 4000.0, 1.0)])
+        fresh = document(committee=[committee_point(25, 4000.0, 0.4)])
         findings = check_regression.compare_documents(fresh, base, 0.10)
         assert not any(finding.fatal for finding in findings)
 
     def test_wider_threshold_tolerates_more(self):
-        base = document([fig1_point(4000.0, 100000.0)])
-        fresh = document([fig1_point(4000.0, 70000.0)])  # -30%
+        base = document([fig1_point(4000.0, 1.0)])
+        fresh = document([fig1_point(4000.0, 1.3)])  # +30% wall
         assert any(
             finding.fatal
             for finding in check_regression.compare_documents(fresh, base, 0.10)
@@ -78,15 +78,34 @@ class TestThresholdLogic:
             for finding in check_regression.compare_documents(fresh, base, 0.35)
         )
 
+    def test_events_per_sec_is_information_only(self):
+        # Fewer, costlier events: events/sec falls 75% while the stage
+        # runs 30% faster.  Wall time is what the gate measures.
+        base = document([fig1_point(4000.0, 1.0, eps=100000.0)])
+        fresh = document([fig1_point(4000.0, 0.7, eps=25000.0)])
+        findings = check_regression.compare_documents(fresh, base, 0.10)
+        assert not any(finding.fatal for finding in findings)
+        # And a slower stage fails even when its events/sec rose.
+        slower = document([fig1_point(4000.0, 1.5, eps=400000.0)])
+        findings = check_regression.compare_documents(slower, base, 0.10)
+        assert any(finding.fatal for finding in findings)
+
+    def test_stage_without_wall_time_is_skipped(self):
+        base = document([{"input_load_tps": 4000.0, "events_per_sec": 100000.0}])
+        fresh = document([fig1_point(4000.0, 5.0)])
+        findings = check_regression.compare_documents(fresh, base, 0.10)
+        assert not any(finding.fatal for finding in findings)
+        assert any("skipped" in finding.message for finding in findings)
+
 
 class TestStageMatching:
     def test_subset_smoke_document_passes(self):
         base = document(
-            [fig1_point(1000.0, 90000.0), fig1_point(4000.0, 100000.0)],
-            [committee_point(25, 4000.0, 200000.0), committee_point(50, 4000.0, 150000.0)],
+            [fig1_point(1000.0, 1.1), fig1_point(4000.0, 1.0)],
+            [committee_point(25, 4000.0, 0.5), committee_point(50, 4000.0, 0.7)],
         )
         fresh = document(
-            [fig1_point(4000.0, 99000.0)], [committee_point(25, 4000.0, 195000.0)]
+            [fig1_point(4000.0, 1.01)], [committee_point(25, 4000.0, 0.51)]
         )
         findings = check_regression.compare_documents(fresh, base, 0.10)
         assert not any(finding.fatal for finding in findings)
@@ -94,8 +113,8 @@ class TestStageMatching:
         assert skipped  # the missing stages are reported, not failed
 
     def test_changed_duration_is_a_different_stage(self):
-        base = document(committee=[committee_point(25, 4000.0, 200000.0, duration=20.0)])
-        fresh = document(committee=[committee_point(25, 4000.0, 50000.0, duration=5.0)])
+        base = document(committee=[committee_point(25, 4000.0, 0.5, duration=20.0)])
+        fresh = document(committee=[committee_point(25, 4000.0, 2.0, duration=5.0)])
         findings = check_regression.compare_documents(fresh, base, 0.10)
         assert not any(finding.fatal for finding in findings)
 
@@ -106,8 +125,8 @@ class TestStageMatching:
         assert any(finding.fatal for finding in findings)
 
     def test_digest_mismatch_is_fatal_even_when_fast(self):
-        base = document(committee=[committee_point(25, 4000.0, 100000.0, digest="a" * 64)])
-        fresh = document(committee=[committee_point(25, 4000.0, 300000.0, digest="b" * 64)])
+        base = document(committee=[committee_point(25, 4000.0, 1.0, digest="a" * 64)])
+        fresh = document(committee=[committee_point(25, 4000.0, 0.3, digest="b" * 64)])
         findings = check_regression.compare_documents(fresh, base, 0.10)
         assert any(finding.fatal for finding in findings)
 
@@ -119,25 +138,15 @@ class TestMainEntry:
         return str(path)
 
     def test_pass_and_fail_exit_codes(self, tmp_path):
-        base = self.write(
-            tmp_path, "base.json", document([fig1_point(4000.0, 100000.0)])
-        )
-        good = self.write(
-            tmp_path, "good.json", document([fig1_point(4000.0, 99000.0)])
-        )
-        bad = self.write(
-            tmp_path, "bad.json", document([fig1_point(4000.0, 10000.0)])
-        )
+        base = self.write(tmp_path, "base.json", document([fig1_point(4000.0, 1.0)]))
+        good = self.write(tmp_path, "good.json", document([fig1_point(4000.0, 1.01)]))
+        bad = self.write(tmp_path, "bad.json", document([fig1_point(4000.0, 10.0)]))
         assert check_regression.main([good, "--baseline", base]) == 0
         assert check_regression.main([bad, "--baseline", base]) == 1
 
     def test_threshold_env_override(self, tmp_path, monkeypatch):
-        base = self.write(
-            tmp_path, "base.json", document([fig1_point(4000.0, 100000.0)])
-        )
-        bad = self.write(
-            tmp_path, "bad.json", document([fig1_point(4000.0, 80000.0)])
-        )
+        base = self.write(tmp_path, "base.json", document([fig1_point(4000.0, 1.0)]))
+        bad = self.write(tmp_path, "bad.json", document([fig1_point(4000.0, 1.25)]))
         assert check_regression.main([bad, "--baseline", base]) == 1
         monkeypatch.setenv("REPRO_BENCH_REGRESSION_THRESHOLD", "0.5")
         assert check_regression.main([bad, "--baseline", base]) == 0
@@ -210,9 +219,9 @@ def calibrated(doc, cpu_score):
 
 class TestCalibrationNormalization:
     def test_slower_host_passes_after_normalization(self):
-        base = calibrated(document([fig1_point(4000.0, 100000.0)]), 1000.0)
-        # Half-speed host, half the events/sec: raw -50%, normalized 0%.
-        fresh = calibrated(document([fig1_point(4000.0, 50000.0)]), 500.0)
+        base = calibrated(document([fig1_point(4000.0, 1.0)]), 1000.0)
+        # Half-speed host, twice the wall time: raw +100%, normalized 0%.
+        fresh = calibrated(document([fig1_point(4000.0, 2.0)]), 500.0)
         findings = check_regression.compare_documents(fresh, base, 0.10)
         assert not any(finding.fatal for finding in findings)
         # Without calibration the same documents fail.
@@ -220,16 +229,16 @@ class TestCalibrationNormalization:
         assert any(finding.fatal for finding in raw)
 
     def test_real_regression_still_fails_on_slower_host(self):
-        base = calibrated(document([fig1_point(4000.0, 100000.0)]), 1000.0)
-        # Half-speed host but only a third of the events/sec: a genuine
-        # ~33% regression after normalization.
-        fresh = calibrated(document([fig1_point(4000.0, 33000.0)]), 500.0)
+        base = calibrated(document([fig1_point(4000.0, 1.0)]), 1000.0)
+        # Half-speed host but three times the wall time: a genuine 50%
+        # regression after normalization.
+        fresh = calibrated(document([fig1_point(4000.0, 3.0)]), 500.0)
         findings = check_regression.compare_documents(fresh, base, 0.10)
         assert any(finding.fatal for finding in findings)
 
     def test_missing_calibration_falls_back_to_raw(self):
-        base = document([fig1_point(4000.0, 100000.0)])
-        fresh = calibrated(document([fig1_point(4000.0, 100000.0)]), 500.0)
+        base = document([fig1_point(4000.0, 1.0)])
+        fresh = calibrated(document([fig1_point(4000.0, 1.0)]), 500.0)
         findings = check_regression.compare_documents(fresh, base, 0.10)
         assert not any(finding.fatal for finding in findings)
         assert any(
@@ -238,8 +247,8 @@ class TestCalibrationNormalization:
         )
 
     def test_out_of_band_ratio_falls_back_to_raw(self):
-        base = calibrated(document([fig1_point(4000.0, 100000.0)]), 1000.0)
-        fresh = calibrated(document([fig1_point(4000.0, 100000.0)]), 10.0)
+        base = calibrated(document([fig1_point(4000.0, 1.0)]), 1000.0)
+        fresh = calibrated(document([fig1_point(4000.0, 1.0)]), 10.0)
         assert check_regression.calibration_ratio(fresh, base) is None
 
     def test_calibration_ratio_in_band(self):
@@ -266,7 +275,7 @@ def with_matrix(doc, cells):
 
 class TestMatrixStageComparison:
     def _base_doc(self):
-        return document([fig1_point(4000.0, 100000.0)])
+        return document([fig1_point(4000.0, 1.0)])
 
     def test_matching_cells_pass(self):
         doc = with_matrix(
